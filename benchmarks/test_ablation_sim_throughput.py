@@ -147,7 +147,7 @@ def _measure_policy_grid() -> dict:
     """Grid-search throughput on the PR 3 policy layer.
 
     Runs a mixed grid (all four built-in policy families) over the
-    multi-day library scenario on the serial and thread backends; the
+    multi-day library scenario on the serial and process backends; the
     outcomes must be identical, and the ranking must cover at least
     three distinct policies — the regression tripwire for the
     ``repro search`` path.
@@ -164,12 +164,12 @@ def _measure_policy_grid() -> dict:
     ]
     timings = {}
     results = {}
-    for backend, workers in (("serial", 1), ("thread", 4)):
+    for backend, workers in (("serial", 1), ("process", 4)):
         runner = ScenarioRunner(workers=workers, backend=backend)
         t0 = time.perf_counter()
         results[backend] = runner.run_grid(scenario, grids)
         timings[backend] = time.perf_counter() - t0
-    serial, threaded = results["serial"], results["thread"]
+    serial, process = results["serial"], results["process"]
     points = len(serial.entries)
     return {
         "scenario": scenario.name,
@@ -179,7 +179,7 @@ def _measure_policy_grid() -> dict:
         **{f"{b}_points_per_s": round(points / t, 2)
            for b, t in timings.items()},
         "backends_identical": ([e.outcome for e in serial.entries]
-                               == [e.outcome for e in threaded.entries]),
+                               == [e.outcome for e in process.entries]),
         "best": serial.best.label,
     }
 
@@ -189,8 +189,8 @@ def _measure_fleet() -> tuple[dict, str]:
 
     Runs a seeded 100-wearer, 7-day jittered fleet (16 x 2 in quick
     mode) on the serial and process backends.  The canonical
-    ``FleetResult`` payloads must be byte-identical — sampling happens
-    in the parent and the per-wearer specs ship as JSON, so any
+    ``FleetResult`` payloads must be byte-identical — every wearer is
+    sampled from its own ``seed + index`` wherever it runs, so any
     divergence is a determinism regression, not noise.
 
     Also returns the serial canonical payload, the oracle the vector
@@ -310,7 +310,7 @@ def _measure_fleet_grid() -> dict:
     """Fleet-level policy grid search + sharded merge (PR 5 paths).
 
     Runs an eight-candidate grid (three policy families) over a
-    seeded jittered fleet on the serial and thread backends — the
+    seeded jittered fleet on the serial and process backends — the
     ``repro fleet search`` path.  The canonical ``FleetGridResult``
     payloads must be byte-identical across backends, and a 3-way
     sharded run of the same fleet must merge to the exact unsharded
@@ -343,7 +343,7 @@ def _measure_fleet_grid() -> dict:
     best = ""
     from repro.scenarios.spec import canonical_json
 
-    for backend, workers in (("serial", 1), ("thread", 4)):
+    for backend, workers in (("serial", 1), ("process", 4)):
         runner = FleetRunner(workers=workers, backend=backend)
         t0 = time.perf_counter()
         result = runner.run_grid(fleet, grids)
@@ -370,7 +370,7 @@ def _measure_fleet_grid() -> dict:
         **{f"{b}_s": round(t, 6) for b, t in timings.items()},
         **{f"{b}_candidates_per_s": round(candidates / t, 2)
            for b, t in timings.items()},
-        "backends_identical": payloads["serial"] == payloads["thread"],
+        "backends_identical": payloads["serial"] == payloads["process"],
         "merge_exact": merge_exact,
         "best": best,
     }
@@ -382,10 +382,11 @@ def _measure_serve() -> dict:
     Starts the real HTTP stack (PR 6) on an ephemeral port with a
     fresh store, POSTs a batch of distinct ``/simulate`` requests (all
     misses — each one simulates), then re-POSTs the identical batch
-    (all hits — served from the content-addressed store).  Before any
-    rate is reported, every repeat response must carry the ``hit``
-    cache state and byte-for-byte identical bodies — the serving
-    contract the section exists to pin.
+    (all hits — served from the content-addressed store), once per
+    service backend (serial, process).  Before any rate is reported,
+    every repeat response must carry the ``hit`` cache state and
+    byte-for-byte identical bodies, and both backends must serve the
+    same bytes — the serving contract the section exists to pin.
     """
     import dataclasses
     import tempfile
@@ -412,27 +413,38 @@ def _measure_serve() -> dict:
                      for request in requests]
         return time.perf_counter() - t0, responses
 
-    with tempfile.TemporaryDirectory() as root:
-        service = ServeService(ResultStore(root), workers=2,
-                               backend="thread")
-        with ServerThread(service) as live:
-            miss_s, first = _post_all(live)
-            hit_s, repeat = _post_all(live)
-    return {
-        "requests": n,
-        "miss_s": round(miss_s, 6),
-        "hit_s": round(hit_s, 6),
-        "miss_requests_per_s": round(n / miss_s, 2),
-        "hit_requests_per_s": round(n / hit_s, 2),
+    section = {"requests": n}
+    passes = {}
+    for backend in ("serial", "process"):
+        with tempfile.TemporaryDirectory() as root:
+            service = ServeService(ResultStore(root), workers=2,
+                                   backend=backend)
+            with ServerThread(service) as live:
+                miss_s, first = _post_all(live)
+                hit_s, repeat = _post_all(live)
+        passes[backend] = (first, repeat)
+        section.update({
+            f"{backend}_miss_s": round(miss_s, 6),
+            f"{backend}_hit_s": round(hit_s, 6),
+            f"{backend}_miss_requests_per_s": round(n / miss_s, 2),
+            f"{backend}_hit_requests_per_s": round(n / hit_s, 2),
+        })
+    responses = [(first, repeat) for first, repeat in passes.values()]
+    section.update({
         "first_pass_all_miss": all(
             headers.get("x-repro-cache") == "miss" and status == 200
-            for status, headers, _ in first),
+            for first, _ in responses for status, headers, _ in first),
         "repeat_all_hit": all(
             headers.get("x-repro-cache") == "hit" and status == 200
-            for status, headers, _ in repeat),
+            for _, repeat in responses for status, headers, _ in repeat),
         "repeat_bitwise_identical": all(
-            a[2] == b[2] for a, b in zip(first, repeat)),
-    }
+            a[2] == b[2] for first, repeat in responses
+            for a, b in zip(first, repeat)),
+        "backends_identical": all(
+            a[2] == b[2] for a, b in zip(passes["serial"][0],
+                                         passes["process"][0])),
+    })
+    return section
 
 
 def _measure_learned_policy() -> dict:
@@ -569,7 +581,7 @@ def _measure_sweep() -> dict:
     specs = all_scenarios()
     timings = {}
     outcomes = {}
-    for backend, workers in (("serial", 1), ("thread", 4), ("process", 4)):
+    for backend, workers in (("serial", 1), ("process", 4)):
         runner = ScenarioRunner(workers=workers, backend=backend)
         t0 = time.perf_counter()
         sweep = runner.run_batch(specs)
@@ -581,8 +593,7 @@ def _measure_sweep() -> dict:
         **{f"{b}_s": round(t, 6) for b, t in timings.items()},
         **{f"{b}_scenarios_per_s": round(len(specs) / t, 2)
            for b, t in timings.items()},
-        "backends_identical": (outcomes["serial"] == outcomes["thread"]
-                               == outcomes["process"]),
+        "backends_identical": outcomes["serial"] == outcomes["process"],
     }
 
 
@@ -633,6 +644,7 @@ def test_sim_throughput_bench(print_rows):
               and serve["first_pass_all_miss"]
               and serve["repeat_all_hit"]
               and serve["repeat_bitwise_identical"]
+              and serve["backends_identical"]
               and learned["retrain_bitwise_identical"]
               and learned["fits_mcu_budget"]
               and (QUICK or multi_day["speedup"] >= SPEEDUP_FLOOR)
@@ -681,11 +693,10 @@ def test_sim_throughput_bench(print_rows):
          f"(spawn {pool['spawn_s']:.2f}s, reused {pool['pool_reused']}, "
          f"gate {pool['gate_passed']})"),
         ("sweep scenarios/s", f"{sweep['serial_scenarios_per_s']} (serial)",
-         f"thread {sweep['thread_scenarios_per_s']} / "
          f"process {sweep['process_scenarios_per_s']}"),
         ("policy grid points/s",
          f"{grid['serial_points_per_s']} (serial, {grid['points']} pts)",
-         f"thread {grid['thread_points_per_s']} "
+         f"process {grid['process_points_per_s']} "
          f"(best {grid['best']})"),
         ("fleet wearers/s",
          f"{fleet['serial_wearers_per_s']} (serial, "
@@ -699,12 +710,13 @@ def test_sim_throughput_bench(print_rows):
         ("fleet grid cand/s",
          f"{fleet_grid['serial_candidates_per_s']} (serial, "
          f"{fleet_grid['candidates']} cands x {fleet_grid['wearers']}w)",
-         f"thread {fleet_grid['thread_candidates_per_s']} "
+         f"process {fleet_grid['process_candidates_per_s']} "
          f"(merge_exact {fleet_grid['merge_exact']})"),
         ("serve requests/s",
-         f"{serve['miss_requests_per_s']} (miss, "
+         f"{serve['serial_miss_requests_per_s']} (serial miss, "
          f"{serve['requests']} reqs)",
-         f"hit {serve['hit_requests_per_s']} "
+         f"hit {serve['serial_hit_requests_per_s']} / process miss "
+         f"{serve['process_miss_requests_per_s']} "
          f"(bitwise {serve['repeat_bitwise_identical']})"),
         ("learned policy steps/s",
          f"{learned['learned_steps_per_s']:,.0f} (float, "

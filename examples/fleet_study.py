@@ -32,8 +32,8 @@ from repro.scenarios.spec import PolicySpec, SegmentSpec
 
 def main() -> None:
     # 1. A small seeded cohort: 12 office commuters, five days of
-    #    day-to-day jitter.  Same spec -> bitwise-identical result, on
-    #    any backend, forever.
+    #    day-to-day jitter, on the shared worker pool.  Same spec ->
+    #    bitwise-identical result, on any backend, forever.
     fleet = FleetSpec(
         name="example_cohort",
         base_scenario="sunny_office_worker",
@@ -43,7 +43,7 @@ def main() -> None:
         sampler=SamplerSpec("daily_jitter", {"lux_sigma": 0.5}),
         description="12 commuters, five jittered days",
     )
-    result = run_fleet(fleet, workers=4, backend="thread")
+    result = run_fleet(fleet, workers=4, backend="process")
     print(result.format_summary())
 
     # 2. Every wearer is inspectable: regenerate wearer 7's scenario
@@ -67,7 +67,8 @@ def main() -> None:
           f"(p5 final SoC {100 * best.result.final_soc.p5:.1f}%)")
 
     # 4. Third-party samplers plug in like any other component.  A
-    #    "basement week": the wearer never sees daylight.
+    #    "basement week": the wearer never sees daylight.  Registered
+    #    at runtime, so only this process knows it: run it serially.
     @register_sampler("basement_week")
     def build_basement_week(params):
         class BasementWeek:
@@ -81,7 +82,7 @@ def main() -> None:
 
     dark = run_fleet(fleet.replace(name="example_basement",
                                    sampler=SamplerSpec("basement_week")),
-                     backend="thread")
+                     backend="serial")
     print(f"\nbasement fleet: {100 * dark.fraction_energy_neutral:.0f}% "
           f"energy-neutral, p5 final SoC "
           f"{100 * dark.final_soc.p5:.1f}% (TEG-only survival)")

@@ -41,7 +41,7 @@ def main() -> None:
           f"({decision.mode})")
 
     # 2. The full grid over two very different days.
-    runner = ScenarioRunner(workers=4, backend="thread")
+    runner = ScenarioRunner(workers=4, backend="process")
     for scenario_name in ("cloudy_week_multi_day", "dead_battery_cold_start"):
         scenario = get_scenario(scenario_name)
         result = runner.run_grid(scenario, GRIDS)

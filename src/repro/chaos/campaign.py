@@ -4,10 +4,11 @@ A campaign run is the cross product of the strategist's composed cases
 (:mod:`repro.chaos.strategist`) and a policy list (default: every
 registered policy), each run executed under the
 :class:`~repro.chaos.judge.LedgerBattery` and classified by the judge.
-Execution mirrors the scenario runner's backends — serial / thread /
-process (the persistent shared pool of :mod:`repro.pool`: the campaign
-spec is broadcast once per chunk and workers regenerate their own
-cases from ``(case_index, policy_index)`` pairs) — and the result model
+Execution goes through the one executor :func:`repro.pool.execute`,
+serial or process (the persistent shared pool of :mod:`repro.pool`):
+the campaign spec is broadcast once per chunk and the chunk handler
+regenerates its own cases from ``(case_index, policy_index)`` pairs,
+wherever it runs.  The result model
 mirrors the fleet's merge-exact sharding: shards own strided case
 subsets, carry raw :class:`RunRecord` values, and
 :meth:`CampaignResult.merge` re-assembles any complete partition into
@@ -17,17 +18,17 @@ a payload bitwise-identical to the unsharded run.
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.chaos.judge import RunJudgement, judge_scenario
 from repro.chaos.spec import ChaosSpec
-from repro.chaos.strategist import case_indices, chaos_cases
-from repro.errors import RegistryError, SpecError
+from repro.chaos.strategist import case_indices, case_name, chaos_cases
+from repro.errors import SpecError
+from repro.pool import check_backend, check_workers, execute
+from repro.pool.worker import crash_hook
 from repro.scenarios.registry import POLICIES
 from repro.scenarios.spec import (
     PolicySpec,
@@ -38,8 +39,6 @@ from repro.scenarios.spec import (
 __all__ = ["RunRecord", "PartialCampaignResult", "CampaignResult",
            "ChaosRunner", "run_campaign", "run_chaos_chunk",
            "default_policies", "load_campaign_result"]
-
-BACKENDS = ("serial", "thread", "process")
 
 
 def default_policies() -> list[PolicySpec]:
@@ -332,42 +331,26 @@ def run_chaos_chunk(context: Mapping[str, Any],
     The worker regenerates its own cases (each case draws only from
     ``seed + index``, so any subset is independently generatable) and
     judges them under the spec's rules — bitwise-identical to
-    parent-side composition.  Mirrors the scenario runner's
-    registry-visibility contract; runs unchanged in-process for the
-    identity tests.
+    parent-side composition.  Runs unchanged in-process: serial
+    campaigns and the identity tests call it directly.
     """
-    from repro.chaos.strategist import chaos_cases
-
     spec = ChaosSpec.from_dict(context["spec"])
     policies = [PolicySpec.from_dict(p) for p in context["policies"]]
-    crash = context.get("crash") or os.environ.get("REPRO_WORKER_CRASH")
     wanted = sorted({case_index for case_index, _ in items})
-    try:
-        cases = dict(zip(wanted, chaos_cases(spec, wanted)))
-        results = []
-        for case_index, policy_index in items:
-            case = cases[case_index]
-            policy = policies[policy_index]
-            if crash and crash == case.name:
-                # The scenario runner's testable-crash hook, forwarded
-                # through the chunk context.
-                os._exit(13)
-            judgement = judge_scenario(
-                dataclasses.replace(
-                    case,
-                    system=dataclasses.replace(case.system, policy=policy)),
-                spec.judge)
-            results.append(RunRecord(
-                case_index=case_index, scenario=case.name,
-                policy=policy, judgement=judgement).to_dict())
-        return results
-    except RegistryError as exc:
-        raise SpecError(
-            f"chaos campaign {spec.name!r} cannot run on the process "
-            f"backend: {exc}. Worker processes import repro fresh, so "
-            "only components registered at import time are visible; "
-            "runtime @register_* registrations require the thread or "
-            "serial backend.") from None
+    cases = dict(zip(wanted, chaos_cases(spec, wanted)))
+    results = []
+    for case_index, policy_index in items:
+        case = cases[case_index]
+        policy = policies[policy_index]
+        crash_hook(context, case.name)
+        judgement = judge_scenario(
+            dataclasses.replace(
+                case, system=dataclasses.replace(case.system, policy=policy)),
+            spec.judge)
+        results.append(RunRecord(
+            case_index=case_index, scenario=case.name,
+            policy=policy, judgement=judgement).to_dict())
+    return results
 
 
 class ChaosRunner:
@@ -375,17 +358,12 @@ class ChaosRunner:
 
     Args:
         workers: default worker count.
-        backend: ``"serial"``, ``"thread"`` (default) or ``"process"``.
+        backend: ``"serial"`` (default) or ``"process"``.
     """
 
-    def __init__(self, workers: int = 1, backend: str = "thread") -> None:
-        if workers < 1:
-            raise SpecError("worker count must be at least 1")
-        if backend not in BACKENDS:
-            raise SpecError(
-                f"unknown backend {backend!r}; known: {list(BACKENDS)}")
-        self.workers = workers
-        self.backend = backend
+    def __init__(self, workers: int = 1, backend: str = "serial") -> None:
+        self.workers = check_workers(workers)
+        self.backend = check_backend(backend)
 
     def run(self, spec: ChaosSpec,
             policies: Sequence[PolicySpec] | None = None,
@@ -411,110 +389,37 @@ class ChaosRunner:
                 from repro.policies.learned import unknown_policy_message
 
                 raise SpecError(unknown_policy_message(policy.name))
-        n = self.workers if workers is None else workers
-        if n < 1:
-            raise SpecError("worker count must be at least 1")
-        chosen = self.backend if backend is None else backend
-        if chosen not in BACKENDS:
-            raise SpecError(
-                f"unknown backend {chosen!r}; known: {list(BACKENDS)}")
-
         if shard is None:
             indices = range(spec.n_cases)
         else:
             indices = case_indices(spec, shard[0], shard[1])
-        cases = chaos_cases(spec, indices)
 
         started = time.perf_counter()
-        tasks = [(index, case, policy)
-                 for index, case in zip(indices, cases)
-                 for policy in policies]
-        records, used = self._execute(spec, policies, tasks, n, chosen)
+        items = [[index, position] for index in indices
+                 for position in range(len(policies))]
+        results, used = execute(
+            "chaos",
+            {"spec": spec.to_dict(),
+             "policies": [policy.to_dict() for policy in policies]},
+            items,
+            backend=self.backend if backend is None else backend,
+            workers=self.workers if workers is None else workers,
+            name_of=lambda i: (f"{case_name(spec, items[i][0])} x "
+                               f"{policies[items[i][1]].name}"))
+        records = tuple(RunRecord.from_dict(payload) for payload in results)
         wall = time.perf_counter() - started
         if shard is None:
             return CampaignResult(spec=spec, policies=policies,
-                                  records=tuple(records), backend=used,
+                                  records=records, backend=used,
                                   wall_time_s=wall)
         return PartialCampaignResult(
             spec=spec, shard_index=shard[0], shard_count=shard[1],
-            policies=policies, records=tuple(records), backend=used,
+            policies=policies, records=records, backend=used,
             wall_time_s=wall)
-
-    def _execute(self, spec: ChaosSpec,
-                 policies: Sequence[PolicySpec], tasks, workers: int,
-                 backend: str) -> tuple[list[RunRecord], str]:
-        """Run the (case, policy) tasks; returns (records, effective
-        backend) — trivial campaigns route serially whatever was
-        requested, and the result records what actually ran."""
-        if not tasks:
-            return [], "serial"
-        rules = spec.judge
-
-        def run_one(task) -> RunRecord:
-            index, case, policy = task
-            judged = judge_scenario(
-                dataclasses.replace(
-                    case,
-                    system=dataclasses.replace(case.system, policy=policy)),
-                rules)
-            return RunRecord(case_index=index, scenario=case.name,
-                             policy=policy, judgement=judged)
-
-        if workers == 1 or len(tasks) <= 1 or backend == "serial":
-            return [run_one(task) for task in tasks], "serial"
-        if backend == "process":
-            return (self._execute_pooled(spec, policies, tasks, workers),
-                    "process")
-        with ThreadPoolExecutor(
-                max_workers=min(workers, len(tasks))) as pool:
-            return list(pool.map(run_one, tasks)), "thread"
-
-    @staticmethod
-    def _execute_pooled(spec: ChaosSpec, policies: Sequence[PolicySpec],
-                        tasks, workers: int) -> list[RunRecord]:
-        """Dispatch a campaign through the shared persistent pool.
-
-        The spec and policy list broadcast once per chunk; items are
-        bare ``[case_index, policy_index]`` pairs and the workers
-        regenerate their own cases.  A dead worker surfaces as a
-        :class:`~repro.errors.SpecError` naming the crashed chunk's
-        (case, policy) range; the pool self-heals on the next run.
-        """
-        from repro.pool import WorkerCrash, get_shared_pool
-
-        order = {_policy_key(policy): i for i, policy in enumerate(policies)}
-        context: dict[str, Any] = {
-            "spec": spec.to_dict(),
-            "policies": [policy.to_dict() for policy in policies],
-        }
-        crash = os.environ.get("REPRO_WORKER_CRASH")
-        if crash:
-            context["crash"] = crash
-        items = [[index, order[_policy_key(policy)]]
-                 for index, case, policy in tasks]
-        pool = get_shared_pool()
-        try:
-            results = pool.run_chunked("chaos", context, items,
-                                       chunks=min(workers, len(items)))
-        except WorkerCrash as exc:
-            names = [f"{tasks[i][1].name!r} x {tasks[i][2].name}"
-                     for i in exc.indices]
-            if len(names) <= 3:
-                span = ", ".join(names)
-            else:
-                span = f"{names[0]} .. {names[-1]} ({len(names)} runs)"
-            raise SpecError(
-                f"process-backend worker died while running chunk "
-                f"{exc.chunk_index + 1}/{exc.chunk_count} of campaign "
-                f"{spec.name!r} — runs {span}; see the chained "
-                "exception. The shared pool respawns on the next run; "
-                "the thread backend avoids worker crashes taking down "
-                "the whole pool.") from exc
-        return [RunRecord.from_dict(payload) for payload in results]
 
 
 def run_campaign(spec: ChaosSpec, workers: int = 1,
-                 backend: str = "thread", **kwargs) -> CampaignResult:
+                 backend: str = "serial", **kwargs) -> CampaignResult:
     """One-call campaign run (what ``repro chaos run`` uses)."""
     return ChaosRunner(workers=workers, backend=backend).run(spec, **kwargs)
 

@@ -59,8 +59,9 @@ separators, ASCII.  The bytes a command prints are exactly the bytes
 the result store caches for the equivalent HTTP request.
 
 ``sweep --backend`` / ``search --backend`` pick the execution
-backend: ``serial``, ``thread`` (default) or ``process``.  The
-process backend spawns fresh workers, so scenarios must reference
+backend: ``serial`` (default) or ``process``.  The process backend
+dispatches chunks to the persistent shared worker pool, whose
+spawned workers import ``repro`` fresh, so scenarios must reference
 components registered at import time (the whole built-in library and
 every built-in policy qualify).
 
@@ -908,11 +909,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "(one ScenarioSpec payload per file)")
     p_sweep.add_argument("--workers", type=int, default=4,
                          help="parallel workers (default 4)")
-    p_sweep.add_argument("--backend", choices=["serial", "thread", "process"],
-                         default="thread",
-                         help="execution backend (default thread; process "
-                              "spawns workers and needs import-time "
-                              "registered components)")
+    p_sweep.add_argument("--backend", choices=["serial", "process"],
+                         default="serial",
+                         help="execution backend (default serial; process "
+                              "uses the shared worker pool and needs "
+                              "import-time registered components)")
     p_sweep.add_argument("--json", action="store_true",
                          help="emit the sweep result as JSON")
 
@@ -928,9 +929,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "{param: [values, ...]} axes to sweep")
     p_search.add_argument("--workers", type=int, default=4,
                           help="parallel workers (default 4)")
-    p_search.add_argument("--backend", choices=["serial", "thread", "process"],
-                          default="thread",
-                          help="execution backend (default thread)")
+    p_search.add_argument("--backend", choices=["serial", "process"],
+                          default="serial",
+                          help="execution backend (default serial)")
     p_search.add_argument("--json", action="store_true",
                           help="emit the ranked grid result as JSON")
 
@@ -946,9 +947,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=4,
                        help="parallel workers (default 4)")
         p.add_argument("--backend",
-                       choices=["serial", "thread", "process", "vector"],
-                       default="thread",
-                       help="execution backend (default thread; wearer "
+                       choices=["serial", "process", "vector"],
+                       default="serial",
+                       help="execution backend (default serial; wearer "
                             "scenarios are self-contained, so process "
                             "works for every fleet, and vector steps "
                             "the whole population as numpy arrays with "
@@ -1043,8 +1044,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet_orch.add_argument("--workers", type=int, default=4,
                               help="workers per shard task (default 4)")
     p_fleet_orch.add_argument(
-        "--backend", choices=["serial", "thread", "process"],
-        default="thread", help="backend per shard task (default thread)")
+        "--backend", choices=["serial", "process"],
+        default="serial", help="backend per shard task (default serial)")
     p_fleet_orch.add_argument("--json", action="store_true",
                               help="emit the final summary as JSON")
 
@@ -1099,9 +1100,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos_run.add_argument("--workers", type=int, default=4,
                              help="parallel workers (default 4)")
     p_chaos_run.add_argument(
-        "--backend", choices=["serial", "thread", "process"],
-        default="thread",
-        help="execution backend (default thread; cases are "
+        "--backend", choices=["serial", "process"],
+        default="serial",
+        help="execution backend (default serial; cases are "
              "self-contained, so process works)")
     p_chaos_run.add_argument(
         "--shard", metavar="I/N",
@@ -1168,9 +1169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--workers", type=int, default=4,
                          help="simulation workers per request (default 4)")
     p_serve.add_argument("--backend",
-                         choices=["serial", "thread", "process"],
-                         default="thread",
-                         help="simulation backend (default thread)")
+                         choices=["serial", "process"],
+                         default="serial",
+                         help="simulation backend (default serial)")
     p_serve.add_argument("--smoke", action="store_true",
                          help="start a throwaway server, submit one "
                               "fleet twice, assert the resubmission is "
@@ -1285,9 +1286,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="parallel wearer simulations "
                                    "(default 4)")
     p_learn_eval.add_argument("--backend",
-                              choices=["serial", "thread", "process"],
-                              default="thread",
-                              help="execution backend (default thread)")
+                              choices=["serial", "process"],
+                              default="serial",
+                              help="execution backend (default serial)")
     p_learn_eval.add_argument("--no-quantized", action="store_true",
                               help="skip the fixed-point learned_q "
                                    "variant")

@@ -14,7 +14,7 @@ them to population statistics.
   generation (``random.Random(seed + index)``, sampled before any
   fan-out);
 * :mod:`repro.fleet.runner` — :class:`FleetRunner` over the
-  serial/thread/process/vector backends, the paired policy comparison
+  serial/process/vector backends, the paired policy comparison
   :meth:`FleetRunner.compare`, the fleet-level policy grid search
   :meth:`FleetRunner.run_grid`, and sharded execution
   (``run(fleet, shard=(i, N))``);

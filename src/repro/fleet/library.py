@@ -6,8 +6,8 @@ Naming convention mirrors the scenario library: lowercase
 variants belong in the spec.
 
 Every fleet here is asserted runnable (and its determinism pinned) by
-``tests/fleet``; keep new entries small enough that a thread-backend
-run stays interactive.
+``tests/fleet``; keep new entries small enough that a serial run
+stays interactive.
 """
 
 from __future__ import annotations

@@ -35,7 +35,10 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro.errors import SpecError
+from repro.fleet.runner import BACKENDS as FLEET_BACKENDS
 from repro.fleet.spec import FleetSpec
+from repro.pool import BACKENDS as POOL_BACKENDS
+from repro.pool import check_backend, check_workers
 from repro.scenarios.spec import canonical_json, check_mapping_keys
 
 __all__ = ["plan_manifest", "write_manifest", "load_manifest",
@@ -46,6 +49,9 @@ SPEC_NAME = "spec.json"
 MERGED_NAME = "merged.json"
 
 KINDS = ("fleet", "chaos")
+
+#: The ``--backend`` values each shard's ``run`` subcommand accepts.
+SHARD_BACKENDS = {"fleet": FLEET_BACKENDS, "chaos": POOL_BACKENDS}
 TASK_STATUSES = ("pending", "done", "failed")
 
 #: ``runner(argv, cwd, timeout_s) -> (returncode, detail)`` — the
@@ -77,7 +83,7 @@ def _task_count_of(kind: str, spec) -> int:
 def plan_manifest(kind: str, spec, shard_count: int,
                   timeout_s: float = 600.0, max_attempts: int = 3,
                   backoff_s: float = 1.0, workers: int = 1,
-                  backend: str = "thread") -> dict[str, Any]:
+                  backend: str = "serial") -> dict[str, Any]:
     """The manifest payload for a fresh campaign.
 
     Args:
@@ -90,11 +96,15 @@ def plan_manifest(kind: str, spec, shard_count: int,
         backoff_s: base of the exponential retry backoff
             (``backoff_s * 2**(attempt - 1)`` seconds).
         workers / backend: forwarded to each shard's ``--workers`` /
-            ``--backend``.
+            ``--backend``; checked here against what the shard's
+            ``run`` subcommand accepts, so a bad value fails at plan
+            time instead of in every shard's retries.
     """
     if kind not in KINDS:
         raise SpecError(f"unknown campaign kind {kind!r}; known: "
                         f"{list(KINDS)}")
+    check_backend(backend, SHARD_BACKENDS[kind])
+    check_workers(workers)
     if isinstance(shard_count, bool) or not isinstance(shard_count, int):
         raise SpecError(f"shard count must be an integer, "
                         f"got {shard_count!r}")

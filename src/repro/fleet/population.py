@@ -1,13 +1,14 @@
 """Turn a :class:`FleetSpec` into per-wearer scenario specs.
 
 This is the deterministic heart of the fleet subsystem: every wearer's
-environment is sampled *here, in the calling process*, from
+environment is sampled *here*, by :func:`wearer_scenarios`, from
 ``random.Random(seed + index)``, and the result is an ordinary
 self-contained :class:`~repro.scenarios.spec.ScenarioSpec` with inline
-segments.  The sweep backends then only ever see fully-materialized
-JSON-shippable specs — which is why a fleet's outcome is
-bitwise-identical across ``serial``/``thread``/``process`` and across
-runs.
+segments.  Every backend materializes through that one function — the
+vector engine in the calling process, the serial and process backends
+inside the ``"fleet"`` chunk handler (:func:`run_wearer_chunk`) —
+which is why a fleet's outcome is bitwise-identical across
+``serial``/``process``/``vector`` and across runs.
 
 The base scenario's timeline (built once) is the *template*: the
 sampler perturbs one copy per repetition until the wearer's segments
@@ -19,13 +20,13 @@ the engine).
 from __future__ import annotations
 
 import dataclasses
-import os
 import random
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.errors import RegistryError, SpecError
+from repro.errors import SpecError
 from repro.fleet.samplers import build_sampler
 from repro.fleet.spec import FleetSpec
+from repro.pool.worker import crash_hook
 from repro.scenarios.builder import build_timeline
 from repro.scenarios.library import get_scenario
 from repro.scenarios.spec import (PolicySpec, ScenarioSpec, SegmentSpec,
@@ -39,6 +40,7 @@ __all__ = [
     "wearer_name",
     "wearer_scenario",
     "wearer_scenarios",
+    "with_policy",
 ]
 
 
@@ -169,6 +171,17 @@ def wearer_scenarios(fleet: FleetSpec,
             for index in indices]
 
 
+def with_policy(specs: Iterable[ScenarioSpec],
+                policy: PolicySpec | None) -> list[ScenarioSpec]:
+    """``specs`` with ``system.policy`` replaced (unchanged for
+    ``None``) — how a paired comparison reruns one population."""
+    if policy is None:
+        return list(specs)
+    return [dataclasses.replace(
+                spec, system=dataclasses.replace(spec.system, policy=policy))
+            for spec in specs]
+
+
 def run_wearer_chunk(context: Mapping[str, Any],
                      items: Sequence[int]) -> list[dict]:
     """Pool chunk handler: wearer indices in, outcome dicts out.
@@ -177,47 +190,27 @@ def run_wearer_chunk(context: Mapping[str, Any],
     (:mod:`repro.pool`): the parent broadcasts the :class:`FleetSpec`
     dict (plus an optional replacement ``"policy"`` for paired
     comparisons and the forwarded ``"crash"`` test hook) once per
-    chunk, and ships only wearer indices per item.  The worker
-    rematerializes each wearer from ``random.Random(seed + index)`` —
-    deterministic, so the outcomes are bitwise-identical to a parent
-    materialization — and runs it.  Because the worker resolves the
-    base scenario and sampler by name in its own fresh ``import
-    repro``, runtime-registered components raise the process backend's
-    usual explanatory :class:`~repro.errors.SpecError`.
+    chunk, and ships only wearer indices per item.  The handler
+    materializes its wearers through :func:`wearer_scenarios` from
+    ``random.Random(seed + index)`` — deterministic, so the outcomes
+    are bitwise-identical to a parent materialization — and runs them.
+    In a worker the base scenario and sampler resolve by name in a
+    fresh ``import repro``, so runtime-registered components raise the
+    process backend's usual explanatory :class:`~repro.errors.SpecError`.
 
-    Runs unchanged in-process; the chunked-vs-unchunked identity tests
-    call it directly.
+    Runs unchanged in-process: serial fleet batches and the
+    chunked-vs-unchunked identity tests call it directly.
     """
     # Deferred: repro.scenarios.runner imports stay off the fleet
     # module's import path until a chunk actually runs.
     from repro.scenarios.runner import run_scenario
 
     fleet = FleetSpec.from_dict(context["fleet"])
-    crash = context.get("crash") or os.environ.get("REPRO_WORKER_CRASH")
-    try:
-        base = get_scenario(fleet.base_scenario)
-        if context.get("policy") is not None:
-            base = dataclasses.replace(
-                base,
-                system=dataclasses.replace(
-                    base.system,
-                    policy=PolicySpec.from_dict(context["policy"])))
-        template = template_segments(base)
-        results = []
-        for index in items:
-            spec = wearer_scenario(fleet, index, base=base,
-                                   template=template)
-            if crash and crash == spec.name:
-                # Same testable-crash hook as the scenario path: die
-                # like an OOM-killed worker would.
-                os._exit(13)
-            results.append(run_scenario(spec).to_dict())
-        return results
-    except RegistryError as exc:
-        raise SpecError(
-            f"fleet {fleet.name!r} cannot run on the process backend: "
-            f"{exc}. Worker processes import repro fresh, so only "
-            "components registered at import time are visible; runtime "
-            "@register_* registrations require the thread or serial "
-            "backend."
-        ) from None
+    policy = context.get("policy")
+    if policy is not None:
+        policy = PolicySpec.from_dict(policy)
+    results = []
+    for spec in with_policy(wearer_scenarios(fleet, items), policy):
+        crash_hook(context, spec.name)
+        results.append(run_scenario(spec).to_dict())
+    return results

@@ -1,20 +1,21 @@
 """Fan a fleet out over the sweep backends and reduce the population.
 
-:class:`FleetRunner` is a thin orchestration layer over
-:class:`~repro.scenarios.runner.ScenarioRunner`: it materializes every
-wearer's scenario (:mod:`repro.fleet.population`), runs the batch on
-the chosen backend, and reduces the per-wearer outcomes into a
-:class:`~repro.fleet.result.FleetResult`.  On the process backend the
-materialization itself moves into the shared worker pool
-(:mod:`repro.pool`): the fleet spec is broadcast once per chunk, bare
-wearer indices ride as items, and each worker samples its own wearers
-from ``random.Random(seed + index)``.  Sampling is a pure function of
-the spec either way, so the result's canonical payload is identical on
-every backend — the backends only change how fast you get it.  On top
-of the scenario sweep pools, fleets can run on the fleet-only
-``"vector"`` backend (:mod:`repro.fleet.vector`), which steps the
-whole population as numpy arrays and reproduces the scalar engine's
-payload bitwise.
+:class:`FleetRunner` is a thin orchestration layer over the one
+executor :func:`repro.pool.execute`: it hands the fleet spec and the
+wearer indices to the ``"fleet"`` chunk handler
+(:func:`~repro.fleet.population.run_wearer_chunk`), which materializes
+each wearer from ``random.Random(seed + index)`` and runs it — in the
+calling process on the serial backend, inside the shared worker pool
+(:mod:`repro.pool`) on the process backend, where the fleet spec is
+broadcast once per chunk and bare indices ride as items.  The
+per-wearer outcomes reduce into a
+:class:`~repro.fleet.result.FleetResult`.  Sampling is a pure function
+of the spec, so the result's canonical payload is identical on every
+backend — the backends only change how fast you get it.  Next to the
+executor, fleets can run on the fleet-only ``"vector"`` backend
+(:mod:`repro.fleet.vector`), which needs the materialized spec list:
+it steps the whole population as numpy arrays and reproduces the
+scalar engine's payload bitwise.
 
 :meth:`FleetRunner.compare` reruns the *same sampled population* under
 candidate power policies (every wearer's environment is held fixed
@@ -37,32 +38,30 @@ partition to a result bitwise-identical to the unsharded run.
 
 from __future__ import annotations
 
-import dataclasses
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.errors import SpecError
 from repro.fleet.population import (shard_indices, wearer_name,
-                                    wearer_scenarios)
+                                    wearer_scenarios, with_policy)
 from repro.fleet.result import FleetResult, PartialFleetResult, WearerRecord
 from repro.fleet.spec import FleetSpec
 from repro.fleet.vector import run_batch_vector
 from repro.policies.grid import PolicyGrid, expand_grids, policy_label
-from repro.scenarios.runner import BACKENDS as SCENARIO_BACKENDS
-from repro.scenarios.runner import (ScenarioOutcome, ScenarioRunner,
-                                    SweepResult)
-from repro.scenarios.spec import PolicySpec, canonical_json
+from repro.pool import BACKENDS as POOL_BACKENDS
+from repro.pool import check_backend, check_workers, execute
+from repro.scenarios.runner import ScenarioOutcome, SweepResult
+from repro.scenarios.spec import PolicySpec, ScenarioSpec, canonical_json
 
 __all__ = ["BACKENDS", "FleetRunner", "ComparisonEntry", "FleetComparison",
            "FleetGridResult", "run_fleet"]
 
-#: Every backend a fleet study can run on: the scenario sweep backends
+#: Every backend a fleet study can run on: the executor's backends
 #: plus the fleet-only ``"vector"`` array engine
 #: (:mod:`repro.fleet.vector`).  All of them produce bitwise-identical
 #: canonical payloads; they only change how fast you get them.
-BACKENDS = (*SCENARIO_BACKENDS, "vector")
+BACKENDS = (*POOL_BACKENDS, "vector")
 
 
 @dataclass(frozen=True)
@@ -170,12 +169,11 @@ class FleetRunner:
     """Executes fleet studies, optionally in parallel.
 
     Args:
-        workers: worker count handed to the underlying
-            :class:`~repro.scenarios.runner.ScenarioRunner`.
-        backend: ``"serial"``, ``"thread"`` (default), ``"process"``
-            or ``"vector"``.  Fleet wearer scenarios are always
-            self-contained (inline segments, import-time components),
-            so every backend works for every fleet — the process pool
+        workers: parallelism ceiling for the process backend.
+        backend: ``"serial"`` (default), ``"process"`` or
+            ``"vector"``.  On the process backend each worker samples
+            its own wearers, so a sampler registered at runtime works
+            on ``"serial"`` and ``"vector"`` only.  The process pool
             is the right choice from roughly a hundred wearer-weeks
             up, and the vector engine (:mod:`repro.fleet.vector`)
             beats it by another order of magnitude on fleets whose
@@ -183,112 +181,46 @@ class FleetRunner:
             wearer when it cannot).
     """
 
-    def __init__(self, workers: int = 4, backend: str = "thread") -> None:
-        if backend not in BACKENDS:
-            raise SpecError(
-                f"unknown backend {backend!r}; known: {list(BACKENDS)}")
-        # The vector engine needs no scenario runner of its own; keep a
-        # serial one around for per-call backend overrides.
-        scenario_backend = (backend if backend in SCENARIO_BACKENDS
-                            else "serial")
-        self._runner = ScenarioRunner(workers=workers,
-                                      backend=scenario_backend)
-        self.workers = workers
-        self.backend = backend
-
-    def _sweep(self, specs, workers: int | None, backend: str | None):
-        """Run one batch on the chosen backend (the dispatch point).
-
-        ``backend=None`` means the runner's own; ``"vector"`` routes to
-        :func:`~repro.fleet.vector.run_batch_vector`, everything else
-        to the scenario runner's pools.
-        """
-        chosen = self.backend if backend is None else backend
-        if chosen not in BACKENDS:
-            raise SpecError(
-                f"unknown backend {chosen!r}; known: {list(BACKENDS)}")
-        if chosen == "vector":
-            return run_batch_vector(specs)
-        return self._runner.run_batch(specs, workers=workers,
-                                      backend=chosen)
+    def __init__(self, workers: int = 4, backend: str = "serial") -> None:
+        self.workers = check_workers(workers)
+        self.backend = check_backend(backend, BACKENDS)
 
     def _sweep_wearers(self, fleet: FleetSpec, indices: Sequence[int],
                        policy: PolicySpec | None,
                        workers: int | None,
-                       backend: str | None) -> SweepResult:
-        """Sweep the given wearers, materializing where it is cheapest.
+                       backend: str | None,
+                       specs: Sequence[ScenarioSpec] | None = None,
+                       ) -> SweepResult:
+        """Sweep the given wearers (the dispatch point).
 
-        On the process backend the wearer scenarios are *not* built in
-        the parent: the shared pool (:mod:`repro.pool`) broadcasts the
-        fleet spec once per chunk and ships bare wearer indices, and
-        the workers rematerialize their own wearers from
-        ``random.Random(seed + index)`` — deterministic, so the result
-        is bitwise-identical to parent materialization at a fraction
-        of the dispatch payload.  Every other backend keeps the
-        materialize-in-parent path (threads share memory; the vector
-        engine wants the full spec list).  Trivial runs (one wearer,
-        one worker) fall through to :meth:`ScenarioRunner.run_batch`,
-        which routes them serially and records the effective backend.
+        ``backend=None`` means the runner's own.  ``"vector"`` routes
+        the materialized wearer scenarios (``specs`` when the caller
+        already built them) to
+        :func:`~repro.fleet.vector.run_batch_vector`; every other
+        backend goes through :func:`repro.pool.execute`, which ships
+        the fleet spec plus bare wearer indices and lets the
+        ``"fleet"`` chunk handler materialize each wearer where it
+        runs.
         """
-        chosen = self.backend if backend is None else backend
-        if chosen not in BACKENDS:
-            raise SpecError(
-                f"unknown backend {chosen!r}; known: {list(BACKENDS)}")
-        n = self.workers if workers is None else workers
-        if chosen == "process" and len(indices) > 1 and n > 1:
-            return self._sweep_wearers_pooled(fleet, indices, policy, n)
-        specs = wearer_scenarios(fleet, indices)
-        if policy is not None:
-            specs = [
-                dataclasses.replace(
-                    spec,
-                    system=dataclasses.replace(spec.system, policy=policy))
-                for spec in specs
-            ]
-        return self._sweep(specs, workers, chosen)
-
-    def _sweep_wearers_pooled(self, fleet: FleetSpec,
-                              indices: Sequence[int],
-                              policy: PolicySpec | None,
-                              n: int) -> SweepResult:
-        """The process-backend fleet path: indices through the pool."""
-        from repro.pool import WorkerCrash, get_shared_pool
-
-        if n < 1:
-            raise SpecError("worker count must be at least 1")
+        chosen = check_backend(self.backend if backend is None else backend,
+                               BACKENDS)
+        if chosen == "vector":
+            if specs is None:
+                specs = wearer_scenarios(fleet, indices)
+            return run_batch_vector(with_policy(specs, policy))
         started = time.perf_counter()
         indices = list(indices)
         context: dict[str, Any] = {"fleet": fleet.to_dict()}
         if policy is not None:
             context["policy"] = policy.to_dict()
-        crash = os.environ.get("REPRO_WORKER_CRASH")
-        if crash:
-            context["crash"] = crash
-        pool = get_shared_pool()
-        try:
-            results = pool.run_chunked("fleet", context, indices,
-                                       chunks=min(n, len(indices)))
-        except WorkerCrash as exc:
-            names = [wearer_name(fleet, indices[i]) for i in exc.indices]
-            if len(names) <= 3:
-                span = ", ".join(repr(name) for name in names)
-            else:
-                span = (f"{names[0]!r} .. {names[-1]!r} "
-                        f"({len(names)} wearers)")
-            raise SpecError(
-                f"process-backend worker died while running chunk "
-                f"{exc.chunk_index + 1}/{exc.chunk_count} of fleet "
-                f"{fleet.name!r} — wearers {span}. A worker killed "
-                "mid-fleet (OOM, signal) breaks the pool this way, as "
-                "does a launching script without the standard "
-                "`if __name__ == '__main__':` guard; see the chained "
-                "exception. The shared pool respawns on the next "
-                "batch; the thread backend avoids both."
-            ) from exc
-        outcomes = tuple(ScenarioOutcome.from_dict(payload)
-                         for payload in results)
-        return SweepResult(outcomes=outcomes, backend="process",
-                           wall_time_s=time.perf_counter() - started)
+        results, used = execute(
+            "fleet", context, indices, backend=chosen,
+            workers=self.workers if workers is None else workers,
+            name_of=lambda i: wearer_name(fleet, indices[i]))
+        return SweepResult(
+            outcomes=tuple(ScenarioOutcome.from_dict(payload)
+                           for payload in results),
+            backend=used, wall_time_s=time.perf_counter() - started)
 
     def run(self, fleet: FleetSpec,
             workers: int | None = None,
@@ -343,36 +275,25 @@ class FleetRunner:
         """Rerun one sampled population under each labelled candidate.
 
         The paired-experiment core shared by :meth:`compare` and
-        :meth:`run_grid`: the population is sampled once, and every
-        candidate sees exactly the same wearer environments with only
-        ``system.policy`` replaced per wearer scenario.  (On the
-        process backend the sampling happens worker-side per
-        candidate — identical environments either way, since wearer
-        sampling is a pure function of ``seed + index``.)
+        :meth:`run_grid`: every candidate sees exactly the same wearer
+        environments with only ``system.policy`` replaced per wearer
+        scenario.  The vector engine samples the population once and
+        reruns it per candidate; every other backend resamples it for
+        each candidate in the ``"fleet"`` chunk handler, which yields
+        the same environments because wearer sampling is a pure
+        function of ``seed + index``.
         """
-        chosen = self.backend if backend is None else backend
-        if chosen not in BACKENDS:
-            raise SpecError(
-                f"unknown backend {chosen!r}; known: {list(BACKENDS)}")
-        n = self.workers if workers is None else workers
-        pooled = chosen == "process" and fleet.n_wearers > 1 and n > 1
-        base_specs = None if pooled else wearer_scenarios(fleet)
+        chosen = check_backend(self.backend if backend is None else backend,
+                               BACKENDS)
+        # The vector engine needs the materialized population; sample
+        # it once and rerun it under each candidate.
+        specs = wearer_scenarios(fleet) if chosen == "vector" else None
         started = time.perf_counter()
         entries = []
         used = chosen
         for label, policy in candidates:
-            if pooled:
-                sweep = self._sweep_wearers_pooled(
-                    fleet, range(fleet.n_wearers), policy, n)
-            else:
-                specs = [
-                    dataclasses.replace(
-                        spec,
-                        system=dataclasses.replace(spec.system,
-                                                   policy=policy))
-                    for spec in base_specs
-                ]
-                sweep = self._sweep(specs, workers, chosen)
+            sweep = self._sweep_wearers(fleet, range(fleet.n_wearers),
+                                        policy, workers, chosen, specs)
             used = sweep.backend
             entries.append(ComparisonEntry(
                 label=label,
@@ -450,6 +371,6 @@ class FleetRunner:
 
 
 def run_fleet(fleet: FleetSpec, workers: int = 4,
-              backend: str = "thread") -> FleetResult:
+              backend: str = "serial") -> FleetResult:
     """One-shot convenience: ``FleetRunner(...).run(fleet)``."""
     return FleetRunner(workers=workers, backend=backend).run(fleet)

@@ -20,7 +20,7 @@ Factory and state contract
 * Samplers must be pure functions of ``(params, rng draws)``: no wall
   clocks, no global randomness.  That is what makes a
   :class:`~repro.fleet.spec.FleetSpec` bitwise-reproducible across
-  runs and across the serial/thread/process backends.
+  runs and across the serial/process/vector backends.
 """
 
 from __future__ import annotations
@@ -247,8 +247,8 @@ class CloudyStreaksSampler:
 #
 # Signature contract: SAMPLERS: (params: Mapping) -> TimelineSampler.
 # Registered at import time, so fleet specs referencing them work on
-# every backend (the process backend never needs them: sampling runs
-# in the parent before the sweep fans out).
+# every backend, including pool workers, which sample their own
+# wearers.
 
 
 @register_sampler("identity")

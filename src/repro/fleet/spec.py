@@ -9,9 +9,9 @@ master ``seed``, and the :class:`SamplerSpec` naming the registered
 wearer's environment.
 
 Reproducibility contract: wearer ``i`` draws every random number from
-``random.Random(seed + i)``, and all sampling happens *before* the
-sweep fans out — the per-wearer scenarios ship to the serial, thread
-and process backends as identical JSON payloads.  The same
+``random.Random(seed + i)``, so any wearer's scenario can be sampled
+alone, wherever it runs — in the calling process, in a pool worker or
+ahead of the vector engine — and comes out identical.  The same
 :class:`FleetSpec` therefore yields a bitwise-identical
 :class:`~repro.fleet.result.FleetResult` on every backend and across
 runs.

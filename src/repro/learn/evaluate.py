@@ -104,7 +104,7 @@ def evaluate_trained(trained: TrainedPolicy,
                      fleet: Any = None,
                      include_quantized: bool = True,
                      workers: int = 4,
-                     backend: str = "thread",
+                     backend: str = "serial",
                      runner: Any = None) -> EvalReport:
     """Run the trained policy against every built-in on one fleet.
 

@@ -4,7 +4,7 @@ A :class:`PolicyGrid` names one registered policy and the parameter
 axes to sweep; its cartesian product yields one
 :class:`~repro.scenarios.spec.PolicySpec` per grid point.
 :meth:`repro.scenarios.runner.ScenarioRunner.run_grid` runs one
-scenario under every point (reusing the serial/thread/process sweep
+scenario under every point (reusing the serial/process sweep
 backends) and returns a :class:`GridResult` that ranks the policies by
 how well they kept the watch alive and working: energy-neutral
 outcomes first, then detections delivered per day, then the battery

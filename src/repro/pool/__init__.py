@@ -1,4 +1,15 @@
-"""Persistent shared worker pools with chunked dispatch.
+"""One executor for every batch, over a persistent shared worker pool.
+
+:func:`execute` is the only code that decides how a batch runs.
+Scenario sweeps and policy grids
+(:class:`~repro.scenarios.runner.ScenarioRunner`), fleet runs, shards,
+comparisons and grids (:class:`~repro.fleet.runner.FleetRunner`) and
+chaos campaigns (:class:`~repro.chaos.campaign.ChaosRunner`) all hand
+it a chunk-handler ``kind``, a shared context and per-item payloads.
+``serial`` batches, and degenerate ones (one item or one worker), call
+the handler in-process; ``process`` batches go through the shared
+:class:`WorkerPool`.  Both paths run the same handler over the same
+payloads, so results are identical whichever backend ran them.
 
 The process backend used to lose to serial: every ``run_batch`` /
 ``run_grid`` / ``FleetRunner.run`` / ``ChaosRunner.run`` call spawned
@@ -31,7 +42,8 @@ Worker death (OOM, signal) breaks a ``ProcessPoolExecutor``
 permanently; the pool detects ``BrokenProcessPool``, discards the
 broken executor so the *next* batch self-heals onto fresh workers,
 and raises :class:`WorkerCrash` carrying the dead chunk's item
-positions so callers can name the scenarios that were in flight.
+positions, which :func:`execute` turns into a :class:`SpecError`
+naming the scenarios, wearers or runs that were in flight.
 
 Start methods: ``spawn`` (the default — identical registry-visibility
 semantics on every platform) or the opt-in ``forkserver``
@@ -52,19 +64,26 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-from repro.errors import ReproError, SpecError
-from repro.pool.worker import run_chunk
+from repro.errors import RegistryError, ReproError, SpecError
+from repro.pool.worker import resolve_handler, run_chunk
 
 __all__ = [
+    "BACKENDS",
     "PoolStats",
     "WorkerCrash",
     "WorkerPool",
+    "check_backend",
+    "check_workers",
+    "execute",
     "get_shared_pool",
     "shared_pool_stats",
     "shutdown_shared_pool",
 ]
+
+#: The batch backends :func:`execute` accepts.
+BACKENDS = ("serial", "process")
 
 #: Start methods the pool accepts.  ``fork`` is excluded on purpose:
 #: forked workers see the parent's runtime registrations, which would
@@ -74,6 +93,10 @@ START_METHODS = ("spawn", "forkserver")
 #: Environment knobs (read at :class:`WorkerPool` construction).
 WORKERS_ENV = "REPRO_POOL_WORKERS"
 START_METHOD_ENV = "REPRO_POOL_START_METHOD"
+
+#: Test hook: a worker that picks up the item with this name exits
+#: abruptly (see :func:`repro.pool.worker.crash_hook`).
+CRASH_ENV = "REPRO_WORKER_CRASH"
 
 
 def default_workers() -> int:
@@ -352,10 +375,10 @@ def get_shared_pool() -> WorkerPool:
 
     Created lazily on first use with the environment defaults
     (``REPRO_POOL_WORKERS`` / ``REPRO_POOL_START_METHOD``) and torn
-    down at interpreter exit.  ``ScenarioRunner``, ``FleetRunner``,
-    ``ChaosRunner`` and the serve layer all dispatch through this one
-    pool, so a long-lived service pays the worker spawn cost exactly
-    once.
+    down at interpreter exit.  Every process-backed :func:`execute`
+    call — from ``ScenarioRunner``, ``FleetRunner``, ``ChaosRunner``
+    and the serve layer — dispatches through this one pool, so a
+    long-lived service pays the worker spawn cost exactly once.
     """
     global _shared
     with _shared_lock:
@@ -382,3 +405,89 @@ def shared_pool_stats() -> dict[str, Any] | None:
 
 
 atexit.register(shutdown_shared_pool)
+
+
+# -- the executor -------------------------------------------------------
+
+
+def check_backend(backend: str, known: Sequence[str] = BACKENDS) -> str:
+    """``backend`` if it is one of ``known``, else a :class:`SpecError`
+    listing them."""
+    if backend not in known:
+        raise SpecError(
+            f"unknown backend {backend!r}; known: {list(known)}")
+    return backend
+
+
+def check_workers(workers: int) -> int:
+    """``workers`` if it is a positive integer, else a :class:`SpecError`."""
+    if isinstance(workers, bool) or not isinstance(workers, int) \
+            or workers < 1:
+        raise SpecError(f"worker count must be at least 1, got {workers!r}")
+    return workers
+
+
+def _span(names: Sequence[str]) -> str:
+    if len(names) <= 3:
+        return ", ".join(repr(name) for name in names)
+    return f"{names[0]!r} .. {names[-1]!r} ({len(names)} items)"
+
+
+def execute(kind: str, context: dict[str, Any], items: Iterable[Any], *,
+            backend: str, workers: int,
+            name_of: Callable[[int], str]) -> tuple[list[Any], str]:
+    """Run one batch through the ``kind`` chunk handler.
+
+    Args:
+        kind: a handler key from :data:`repro.pool.worker.HANDLERS`.
+        context: the batch's shared payload (a dict).
+        items: per-item payloads.
+        backend: ``"serial"`` or ``"process"``.
+        workers: parallelism ceiling for the process backend.
+        name_of: maps an item's position to the name errors show
+            (scenario, wearer, case x policy).
+
+    Returns:
+        ``(results, effective_backend)``: the handler's per-item
+        results in input order, and ``"serial"`` whenever the batch
+        ran in-process — including a ``process`` request with at most
+        one item or one worker, which never pays pool overhead.
+
+    Raises:
+        SpecError: unknown backend, bad worker count, a worker that
+            died mid-chunk, or a component a worker could not resolve
+            (runtime registrations are invisible to spawned workers).
+            A worker crash names the items it hit via ``name_of``; a
+            registry miss names the missing component.
+    """
+    check_backend(backend)
+    check_workers(workers)
+    items = list(items)
+    if backend == "serial" or len(items) <= 1 or workers == 1:
+        return resolve_handler(kind)(context, items), "serial"
+    crash = os.environ.get(CRASH_ENV)
+    if crash:
+        context = {**context, "crash": crash}
+    try:
+        results = get_shared_pool().run_chunked(
+            kind, context, items, chunks=min(workers, len(items)))
+    except WorkerCrash as exc:
+        names = [name_of(i) for i in exc.indices]
+        raise SpecError(
+            f"process-backend worker died while running chunk "
+            f"{exc.chunk_index + 1}/{exc.chunk_count} — {_span(names)}. "
+            "A worker killed mid-batch (OOM, signal) breaks the pool "
+            "this way, as does a launching script without the standard "
+            "`if __name__ == '__main__':` guard (spawned workers "
+            "re-import it; stdin/REPL sessions cannot be re-imported); "
+            "see the chained exception. The shared pool respawns on the "
+            "next batch; the serial backend avoids both.") from exc
+    except RegistryError as exc:
+        raise SpecError(
+            "a component in this batch cannot run on the process "
+            f"backend: {exc}. "
+            "Worker processes import repro fresh, so only components "
+            "registered at import time are visible; runtime "
+            "@register_* registrations require the serial backend."
+        ) from None
+    return results, "process"

@@ -16,9 +16,10 @@ batches were served by the same workers instead of trusting timing.
 
 Handlers are pure functions ``(context, items) -> list`` of
 JSON-ready values, registered here by dotted name.  They run
-unchanged in-process too — the chunked-vs-unchunked bitwise-identity
-tests call them directly — so the worker boundary adds no semantics,
-only transport.
+unchanged in-process too — :func:`repro.pool.execute` calls them
+directly for serial batches, and the chunked-vs-unchunked
+bitwise-identity tests do the same — so the worker boundary adds no
+semantics, only transport.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 from repro.errors import SpecError
 
-__all__ = ["run_chunk", "warm_worker"]
+__all__ = ["crash_hook", "resolve_handler", "run_chunk", "warm_worker"]
 
 #: kind -> "module:function" of the handler executing one chunk.
 #: Resolved lazily inside the worker; every handler module must be
@@ -60,7 +61,20 @@ def ping_chunk(context: Any, items: Sequence[Any]) -> list[Any]:
     return [None for _ in items]
 
 
-def _resolve(kind: str) -> Callable[[Any, Sequence[Any]], list]:
+def crash_hook(context: Any, name: str) -> None:
+    """Die like an OOM-killed worker if ``context`` names ``name``.
+
+    The ``REPRO_WORKER_CRASH`` test hook: :func:`repro.pool.execute`
+    copies the variable into the chunk context on the pool path only,
+    so a serial (in-process) batch can never ``os._exit`` its caller,
+    and persistent workers spawned before the variable was set still
+    see it.
+    """
+    if context.get("crash") == name:
+        os._exit(13)
+
+
+def resolve_handler(kind: str) -> Callable[[Any, Sequence[Any]], list]:
     try:
         target = HANDLERS[kind]
     except KeyError:
@@ -73,7 +87,7 @@ def _resolve(kind: str) -> Callable[[Any, Sequence[Any]], list]:
 
 def run_chunk(payload: dict) -> dict:
     """Execute one chunk; the single function every pool future runs."""
-    handler = _resolve(payload["kind"])
+    handler = resolve_handler(payload["kind"])
     return {
         "pid": os.getpid(),
         "results": handler(payload["context"], payload["items"]),

@@ -1,12 +1,11 @@
 """Run scenarios — single or in parallel batches — and aggregate results.
 
 :class:`ScenarioRunner` executes a batch of
-:class:`~repro.scenarios.spec.ScenarioSpec` on one of three backends:
+:class:`~repro.scenarios.spec.ScenarioSpec` through the one executor
+:func:`repro.pool.execute`, on one of two backends:
 
-* ``"serial"`` — in the calling thread, one scenario at a time;
-* ``"thread"`` — a :class:`concurrent.futures.ThreadPoolExecutor`
-  (each scenario builds its own components, so runs share nothing
-  mutable; threads also see runtime registry registrations);
+* ``"serial"`` (default) — in the calling process, one scenario at a
+  time;
 * ``"process"`` — the persistent shared worker pool
   (:mod:`repro.pool`): *spawned* workers created once per process and
   reused across every ``run_batch``/``run_grid``/fleet/chaos call.
@@ -14,36 +13,36 @@
   not one future per spec — and the batch's base spec is broadcast
   once per chunk with per-spec deltas riding alongside, so repeated
   structure (grid variants, fleet wearers) never ships twice.  Specs
-  still cross the process boundary through their JSON
+  cross the process boundary through their JSON
   ``to_dict``/``from_dict`` round-trip, so every component must be
   resolvable by name in a fresh ``import repro.scenarios`` —
   components registered at runtime with ``@register_*`` are not
   visible to the workers, and referencing one raises a clear
-  :class:`~repro.errors.SpecError`.  Use the thread backend for
+  :class:`~repro.errors.SpecError`.  Use the serial backend for
   runtime-registered components.
 
-All backends return a :class:`SweepResult` with the per-scenario
-outcomes in input order plus provenance metadata (which backend
-actually ran and how long it took), and a batch's outcomes are
-identical across backends (simulations are deterministic and share no
-state).  :meth:`ScenarioRunner.run_grid` reuses the same backends to
-sweep one scenario under a policy grid
-(:class:`~repro.policies.grid.PolicyGrid`), returning a ranked
-:class:`~repro.policies.grid.GridResult`.
+Both backends run the same chunk handler (:func:`run_scenario_chunk`)
+over the same base-plus-delta payloads, return a :class:`SweepResult`
+with the per-scenario outcomes in input order plus provenance metadata
+(which backend actually ran and how long it took), and produce
+identical outcomes (simulations are deterministic and share no state).
+:meth:`ScenarioRunner.run_grid` reuses the same backends to sweep one
+scenario under a policy grid (:class:`~repro.policies.grid.PolicyGrid`),
+returning a ranked :class:`~repro.policies.grid.GridResult`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.simulation import SimulationResult
-from repro.errors import RegistryError, SpecError
+from repro.errors import SpecError
+from repro.pool import check_backend, check_workers, execute
+from repro.pool.worker import crash_hook
 from repro.scenarios.builder import build_simulation
 from repro.scenarios.spec import ScenarioSpec, check_mapping_keys
 from repro.units import SECONDS_PER_DAY
@@ -51,8 +50,6 @@ from repro.units import SECONDS_PER_DAY
 __all__ = ["ScenarioOutcome", "SweepResult", "run_scenario",
            "run_scenario_chunk", "spec_delta", "apply_spec_delta",
            "ScenarioRunner"]
-
-BACKENDS = ("serial", "thread", "process")
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,7 @@ class SweepResult:
     Attributes:
         outcomes: per-scenario summaries, in input order.
         backend: the backend that actually executed the batch
-            (``"serial"`` when a thread request degenerated to an
+            (``"serial"`` when a process request degenerated to an
             inline run), so a saved result file records its provenance.
         wall_time_s: wall-clock seconds the batch took end to end.
     """
@@ -204,34 +201,6 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     return ScenarioOutcome.from_result(spec.name, result)
 
 
-def _run_scenario_payload(payload: dict, crash: str | None = None) -> dict:
-    """Process-pool worker: spec dict in, outcome dict out.
-
-    Plain dicts cross the pool so the payload pickles trivially on any
-    start method.  A registry miss in the worker means the spec names a
-    component that only exists in the parent (registered at runtime) —
-    re-raised as a SpecError that explains the backend's contract.
-    """
-    spec = ScenarioSpec.from_dict(payload)
-    if crash == spec.name or os.environ.get("REPRO_WORKER_CRASH") == spec.name:
-        # Test hook: die the way an OOM-killed or signalled worker
-        # does, so the crash-surfacing path is testable without real
-        # memory pressure.  The parent forwards REPRO_WORKER_CRASH in
-        # the chunk context — persistent pool workers may predate the
-        # variable, so environment inheritance alone is not enough.
-        os._exit(13)
-    try:
-        return run_scenario(spec).to_dict()
-    except RegistryError as exc:
-        raise SpecError(
-            f"scenario {spec.name!r} cannot run on the process backend: "
-            f"{exc}. Worker processes import repro.scenarios fresh, so "
-            "only components registered at import time are visible; "
-            "runtime @register_* registrations require the thread or "
-            "serial backend."
-        ) from None
-
-
 def spec_delta(base: Mapping[str, Any],
                payload: Mapping[str, Any]) -> dict[str, Any]:
     """The top-level-key delta turning ``base`` into ``payload``.
@@ -273,34 +242,34 @@ def run_scenario_chunk(context: Mapping[str, Any],
     ``context`` carries the chunk's broadcast state — ``"base"`` (the
     batch's first spec dict) and optionally ``"crash"`` (the forwarded
     ``REPRO_WORKER_CRASH`` test hook); each item is a
-    :func:`spec_delta`.  Runs unchanged in-process: the
-    chunked-vs-unchunked bitwise-identity tests call it directly.
+    :func:`spec_delta`.  Plain dicts cross the pool so the payload
+    pickles trivially on any start method.  Runs unchanged in-process:
+    serial batches and the chunked-vs-unchunked bitwise-identity tests
+    call it directly.
     """
     base = context.get("base") or {}
-    crash = context.get("crash")
-    return [_run_scenario_payload(apply_spec_delta(base, delta), crash)
-            for delta in items]
+    outcomes = []
+    for delta in items:
+        spec = ScenarioSpec.from_dict(apply_spec_delta(base, delta))
+        crash_hook(context, spec.name)
+        outcomes.append(run_scenario(spec).to_dict())
+    return outcomes
 
 
 class ScenarioRunner:
     """Executes scenario batches, optionally in parallel.
 
     Args:
-        workers: default worker count for :meth:`run_batch`; on the
-            thread backend ``1`` runs serially in the calling thread.
-        backend: ``"serial"``, ``"thread"`` (default) or ``"process"``
-            — see the module docstring for the process backend's
+        workers: default worker count for :meth:`run_batch`; ``1``
+            runs in the calling process whatever the backend.
+        backend: ``"serial"`` (default) or ``"process"`` — see the
+            module docstring for the process backend's
             registry-visibility contract.
     """
 
-    def __init__(self, workers: int = 1, backend: str = "thread") -> None:
-        if workers < 1:
-            raise SpecError("worker count must be at least 1")
-        if backend not in BACKENDS:
-            raise SpecError(
-                f"unknown backend {backend!r}; known: {list(BACKENDS)}")
-        self.workers = workers
-        self.backend = backend
+    def __init__(self, workers: int = 1, backend: str = "serial") -> None:
+        self.workers = check_workers(workers)
+        self.backend = check_backend(backend)
 
     def run(self, spec: ScenarioSpec) -> ScenarioOutcome:
         """Run a single scenario."""
@@ -309,83 +278,28 @@ class ScenarioRunner:
     def run_batch(self, specs: Iterable[ScenarioSpec],
                   workers: int | None = None,
                   backend: str | None = None) -> SweepResult:
-        """Run every scenario, ``workers`` at a time, preserving order."""
+        """Run every scenario, ``workers`` at a time, preserving order.
+
+        The first spec is the chunk broadcast; every spec ships as a
+        delta against it (grid variants and fleet wearers compress to
+        near-nothing).
+        """
         specs = list(specs)
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise SpecError("batch scenario names must be unique")
-        n = self.workers if workers is None else workers
-        if n < 1:
-            raise SpecError("worker count must be at least 1")
-        chosen = self.backend if backend is None else backend
-        if chosen not in BACKENDS:
-            raise SpecError(
-                f"unknown backend {chosen!r}; known: {list(BACKENDS)}")
-
         started = time.perf_counter()
-        outcomes: Sequence[ScenarioOutcome]
-        used = chosen
-        if len(specs) <= 1 or chosen == "serial" or n == 1:
-            # Trivial batches never pay pool overhead, whatever backend
-            # was requested — and the result records the backend that
-            # actually ran, so provenance stays honest.
-            outcomes = [run_scenario(s) for s in specs]
-            used = "serial"
-        elif chosen == "process":
-            outcomes = self._run_process_batch(specs, n)
-        else:
-            with ThreadPoolExecutor(max_workers=min(n, len(specs))) as pool:
-                outcomes = list(pool.map(run_scenario, specs))
-        return SweepResult(outcomes=tuple(outcomes), backend=used,
-                           wall_time_s=time.perf_counter() - started)
-
-    @staticmethod
-    def _run_process_batch(specs: Sequence[ScenarioSpec],
-                           n: int) -> list[ScenarioOutcome]:
-        """Dispatch a batch through the shared persistent worker pool.
-
-        The first spec is the chunk broadcast; every spec ships as a
-        delta against it (grid variants and fleet wearers compress to
-        near-nothing).  ``REPRO_WORKER_CRASH`` is forwarded through the
-        chunk context because persistent workers may have been spawned
-        before the variable was set.  A dead worker surfaces as a
-        :class:`~repro.errors.SpecError` naming the crashed chunk's
-        scenario range; the pool self-heals on the next batch.
-        """
-        # Deferred: keeps repro.scenarios importable in pool workers
-        # without circularity games.
-        from repro.pool import WorkerCrash, get_shared_pool
-
-        base = specs[0].to_dict()
-        context = {"base": base}
-        crash = os.environ.get("REPRO_WORKER_CRASH")
-        if crash:
-            context["crash"] = crash
+        base = specs[0].to_dict() if specs else {}
         items = [spec_delta(base, spec.to_dict()) for spec in specs]
-        pool = get_shared_pool()
-        try:
-            results = pool.run_chunked("scenarios", context, items,
-                                       chunks=min(n, len(specs)))
-        except WorkerCrash as exc:
-            names = [specs[i].name for i in exc.indices]
-            if len(names) <= 3:
-                span = ", ".join(repr(name) for name in names)
-            else:
-                span = (f"{names[0]!r} .. {names[-1]!r} "
-                        f"({len(names)} scenarios)")
-            raise SpecError(
-                f"process-backend worker died while running chunk "
-                f"{exc.chunk_index + 1}/{exc.chunk_count} of the batch "
-                f"— scenarios {span}. Most often this means the "
-                "launching script lacks the standard "
-                "`if __name__ == '__main__':` guard (spawned workers "
-                "re-import it, and stdin/REPL sessions cannot be "
-                "re-imported at all) — but a worker killed mid-sweep "
-                "(OOM, signal) breaks the pool the same way; see the "
-                "chained exception. The shared pool respawns on the "
-                "next batch; the thread backend avoids both."
-            ) from exc
-        return [ScenarioOutcome.from_dict(payload) for payload in results]
+        results, used = execute(
+            "scenarios", {"base": base}, items,
+            backend=self.backend if backend is None else backend,
+            workers=self.workers if workers is None else workers,
+            name_of=names.__getitem__)
+        return SweepResult(
+            outcomes=tuple(ScenarioOutcome.from_dict(payload)
+                           for payload in results),
+            backend=used, wall_time_s=time.perf_counter() - started)
 
     def run_grid(self, scenario: ScenarioSpec, grid,
                  workers: int | None = None,

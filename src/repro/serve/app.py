@@ -333,7 +333,7 @@ def http_request(host: str, port: int, method: str, path: str,
 
 def serve_forever(store_root: str, host: str = "127.0.0.1",
                   port: int = 8751, workers: int = 4,
-                  backend: str = "thread",
+                  backend: str = "serial",
                   request_timeout_s: float | None = None,
                   ) -> None:  # pragma: no cover
     """Blocking entry point behind ``repro serve``."""
@@ -360,7 +360,7 @@ def serve_forever(store_root: str, host: str = "127.0.0.1",
 
 
 def run_smoke(store_root: str, workers: int = 2,
-              backend: str = "thread") -> dict[str, Any]:
+              backend: str = "serial") -> dict[str, Any]:
     """End-to-end self-check: tiny fleet, twice, second must be a hit.
 
     Starts a real server on an ephemeral port, POSTs one small

@@ -78,7 +78,8 @@ class ServeService:
         store: the content-addressed :class:`ResultStore` (or a path
             to create one at).
         workers: worker count for the underlying runners.
-        backend: sweep backend executing the simulations — results are
+        backend: sweep backend executing the simulations
+            (``"serial"`` by default) — results are
             backend-independent, so this only changes latency.
             ``"process"`` rides the process-wide persistent pool
             (:func:`repro.pool.get_shared_pool`): the workers are
@@ -88,7 +89,7 @@ class ServeService:
     """
 
     def __init__(self, store: ResultStore | str, workers: int = 4,
-                 backend: str = "thread") -> None:
+                 backend: str = "serial") -> None:
         self.store = store if isinstance(store, ResultStore) \
             else ResultStore(store)
         self.runner = ScenarioRunner(workers=workers, backend=backend)

@@ -24,7 +24,8 @@ POLICIES_2 = (PolicySpec("static_duty_cycle"), PolicySpec("energy_aware"))
 
 @pytest.fixture(scope="module")
 def full_result():
-    return run_campaign(SPEC, workers=2, policies=POLICIES_2)
+    return run_campaign(SPEC, workers=2, backend="process",
+                        policies=POLICIES_2)
 
 
 class TestRunRecord:
@@ -73,14 +74,13 @@ class TestCampaignResult:
 
 
 class TestBackendsAgree:
-    def test_serial_equals_thread(self, full_result):
+    def test_serial_equals_process(self, full_result):
         serial = run_campaign(SPEC, backend="serial", policies=POLICIES_2)
         assert serial.canonical_json() == full_result.canonical_json()
 
-    def test_process_equals_thread(self, full_result):
-        process = run_campaign(SPEC, workers=2, backend="process",
-                               policies=POLICIES_2)
-        assert process.canonical_json() == full_result.canonical_json()
+    def test_default_backend_equals_process(self, full_result):
+        default = run_campaign(SPEC, workers=2, policies=POLICIES_2)
+        assert default.canonical_json() == full_result.canonical_json()
 
     def test_process_pool_pids_stable_across_runs(self, full_result):
         """Two consecutive runs on one runner must ride the same

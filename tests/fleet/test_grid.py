@@ -103,13 +103,13 @@ class TestRunGrid:
 
 
 class TestBackendInvariance:
-    def test_thread_matches_serial_bitwise(self):
+    def test_full_grid_process_matches_serial_bitwise(self):
         serial = FleetRunner(workers=1, backend="serial").run_grid(
             SMALL, GRIDS)
-        threaded = FleetRunner(workers=4, backend="thread").run_grid(
+        process = FleetRunner(workers=4, backend="process").run_grid(
             SMALL, GRIDS)
         assert (json.dumps(serial.to_dict())
-                == json.dumps(threaded.to_dict()))
+                == json.dumps(process.to_dict()))
 
     def test_process_matches_serial_bitwise(self):
         grids = [PolicyGrid("energy_aware"),

@@ -95,6 +95,19 @@ class TestManifest:
         with pytest.raises(SpecError, match="timeout"):
             plan_manifest("fleet", FLEET, shard_count=1, timeout_s=0)
 
+    def test_shard_backend_and_workers_checked_at_plan_time(self):
+        """A value the shard's `run` subcommand would refuse must fail
+        the plan, not burn every shard's retry budget later."""
+        with pytest.raises(SpecError, match="unknown backend 'gpu'"):
+            plan_manifest("fleet", FLEET, 2, backend="gpu")
+        with pytest.raises(SpecError, match="worker count"):
+            plan_manifest("fleet", FLEET, 2, workers=0)
+        with pytest.raises(SpecError, match="unknown backend 'vector'"):
+            plan_manifest("chaos", CHAOS, 2, backend="vector")
+        manifest = plan_manifest("fleet", FLEET, 2, backend="vector")
+        argv = manifest["tasks"][0]["argv"]
+        assert argv[argv.index("--backend") + 1] == "vector"
+
     def test_missing_manifest_names_path(self, tmp_path):
         with pytest.raises(SpecError, match=MANIFEST_NAME):
             load_manifest(tmp_path)

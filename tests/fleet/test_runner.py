@@ -25,7 +25,7 @@ SMALL = FleetSpec(name="small", base_scenario="sunny_office_worker",
 
 class TestRun:
     def test_two_runs_bitwise_identical(self):
-        first = run_fleet(SMALL, workers=2, backend="thread")
+        first = run_fleet(SMALL, workers=2, backend="process")
         second = run_fleet(SMALL, workers=1, backend="serial")
         assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
 
@@ -55,10 +55,10 @@ class TestRun:
         never fall out of sync with it, on the constructor path or the
         per-call override path."""
         from repro.fleet import BACKENDS
-        from repro.scenarios.runner import BACKENDS as SCENARIO_BACKENDS
+        from repro.pool import BACKENDS as POOL_BACKENDS
 
         assert "vector" in BACKENDS
-        assert set(SCENARIO_BACKENDS) < set(BACKENDS)
+        assert set(POOL_BACKENDS) < set(BACKENDS)
         with pytest.raises(SpecError) as ctor_err:
             FleetRunner(backend="gpu")
         runner = FleetRunner(workers=1, backend="serial")

@@ -61,7 +61,7 @@ class TestEvaluateTrained:
     def report(self, trained):
         return evaluate_trained(
             trained, fleet=TINY_FLEET,
-            runner=FleetRunner(workers=2, backend="thread"))
+            runner=FleetRunner(workers=2, backend="serial"))
 
     def test_races_baselines_and_both_variants(self, report):
         names = sorted({entry.policy.name
@@ -91,7 +91,7 @@ class TestEvaluateTrained:
     def test_quantized_can_be_skipped(self, trained):
         report = evaluate_trained(
             trained, fleet=TINY_FLEET, include_quantized=False,
-            runner=FleetRunner(workers=2, backend="thread"))
+            runner=FleetRunner(workers=2, backend="serial"))
         names = {entry.policy.name for entry in report.comparison.entries}
         assert "learned_q" not in names
         assert "quantized" not in report.gap

@@ -16,15 +16,15 @@ TINY_FLEET = FleetSpec(name="learn_proc_tiny",
 
 
 class TestProcessBackend:
-    def test_learned_grid_matches_thread_backend(self, trained):
+    def test_learned_grid_matches_serial_backend(self, trained):
         grids = [PolicyGrid("static_duty_cycle"),
                  PolicyGrid("learned", base=trained.policy.params)]
-        thread = FleetRunner(workers=2, backend="thread").run_grid(
+        serial = FleetRunner(workers=2, backend="serial").run_grid(
             TINY_FLEET, grids)
         process = FleetRunner(workers=2, backend="process").run_grid(
             TINY_FLEET, grids)
         assert (canonical_json(process.to_dict())
-                == canonical_json(thread.to_dict()))
+                == canonical_json(serial.to_dict()))
 
 
 class TestChaosCampaign:

@@ -126,13 +126,13 @@ class TestRunGrid:
             ScenarioRunner().run_grid(
                 get_scenario("paper_indoor_worst_case"), [])
 
-    def test_thread_backend_matches_serial(self):
+    def test_process_backend_matches_serial(self):
         scenario = get_scenario("paper_indoor_worst_case")
         serial = ScenarioRunner(backend="serial").run_grid(scenario,
                                                            self.GRIDS)
-        threaded = ScenarioRunner(workers=4, backend="thread").run_grid(
+        process = ScenarioRunner(workers=4, backend="process").run_grid(
             scenario, self.GRIDS)
-        assert [e.outcome for e in threaded.entries] == \
+        assert [e.outcome for e in process.entries] == \
             [e.outcome for e in serial.entries]
 
 

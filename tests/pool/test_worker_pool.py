@@ -20,13 +20,16 @@ from repro.chaos.campaign import (
     run_chaos_chunk,
 )
 from repro.chaos.spec import ChaosSpec
+from repro.chaos.strategist import case_name
 from repro.errors import SpecError
 from repro.fleet.population import run_wearer_chunk, wearer_scenarios
+from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import FleetSpec
 from repro.policies.grid import PolicyGrid
 from repro.pool import (
     WorkerCrash,
     WorkerPool,
+    execute,
     get_shared_pool,
     shared_pool_stats,
     shutdown_shared_pool,
@@ -269,6 +272,92 @@ class TestConfiguration:
             assert pool.run_chunked("ping", None, [1, 2]) == [None, None]
         finally:
             pool.shutdown()
+
+
+CRASH_FLEET = FleetSpec(name="crash_fleet",
+                        base_scenario="sunny_office_worker",
+                        n_wearers=2, horizon_days=1, seed=3)
+CRASH_CHAOS = ChaosSpec(name="crash_chaos",
+                        base_scenario="sunny_office_worker",
+                        n_cases=1, horizon_days=1, seed=4)
+CRASH_POLICIES = (PolicySpec("static_duty_cycle"), PolicySpec("energy_aware"))
+
+
+def _scenario_batch(backend):
+    return ScenarioRunner(workers=2, backend=backend).run_batch(
+        [get_scenario("dead_battery_cold_start"),
+         get_scenario("night_shift")])
+
+
+def _fleet_batch(backend):
+    return FleetRunner(workers=2, backend=backend).run(CRASH_FLEET)
+
+
+def _chaos_batch(backend):
+    return ChaosRunner(workers=2, backend=backend).run(
+        CRASH_CHAOS, policies=CRASH_POLICIES)
+
+
+#: runner batch, the name the crash hook targets, the name the error
+#: must carry.  Each target sits in the first chunk, which the pool
+#: reports first, so the named item does not depend on timing.
+CRASH_CASES = {
+    "scenarios": (_scenario_batch, "dead_battery_cold_start",
+                  "'dead_battery_cold_start'"),
+    "fleet": (_fleet_batch, "crash_fleet::wearer_0000",
+              "'crash_fleet::wearer_0000'"),
+    "chaos": (_chaos_batch, case_name(CRASH_CHAOS, 0),
+              f"'{case_name(CRASH_CHAOS, 0)} x static_duty_cycle'"),
+}
+
+
+class TestExecute:
+    """The one executor behind every runner: crashes and rejections."""
+
+    @pytest.mark.parametrize("backend", ["process", "serial"])
+    @pytest.mark.parametrize("kind", sorted(CRASH_CASES))
+    def test_worker_crash(self, monkeypatch, kind, backend):
+        """On the pool a dead worker surfaces as a SpecError naming the
+        scenario / wearer / case x policy it was running; the hook
+        never reaches a serial batch, which completes."""
+        batch, target, named = CRASH_CASES[kind]
+        monkeypatch.setenv("REPRO_WORKER_CRASH", target)
+        if backend == "serial":
+            assert batch("serial").backend == "serial"
+            return
+        with pytest.raises(SpecError) as excinfo:
+            batch("process")
+        message = str(excinfo.value)
+        assert "worker died" in message
+        assert named in message
+
+    @pytest.mark.parametrize("make, call, known", [
+        (lambda backend: ScenarioRunner(backend=backend),
+         lambda backend: ScenarioRunner().run_batch([], backend=backend),
+         ["serial", "process"]),
+        (lambda backend: FleetRunner(backend=backend),
+         lambda backend: FleetRunner().run(CRASH_FLEET, backend=backend),
+         ["serial", "process", "vector"]),
+        (lambda backend: ChaosRunner(backend=backend),
+         lambda backend: ChaosRunner().run(CRASH_CHAOS,
+                                           policies=CRASH_POLICIES,
+                                           backend=backend),
+         ["serial", "process"]),
+    ], ids=["scenarios", "fleet", "chaos"])
+    def test_thread_backend_rejected(self, make, call, known):
+        for attempt in (make, call):
+            with pytest.raises(SpecError) as excinfo:
+                attempt("thread")
+            message = str(excinfo.value)
+            assert "unknown backend 'thread'" in message
+            assert message.split("known: ", 1)[1] == str(known)
+
+    def test_degenerate_process_batches_run_in_process(self):
+        for items, workers in (([1], 4), ([1, 2], 1), ([], 2)):
+            results, used = execute("ping", None, items, backend="process",
+                                    workers=workers, name_of=str)
+            assert used == "serial"
+            assert results == [None] * len(items)
 
 
 class TestSharedPool:

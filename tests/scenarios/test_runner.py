@@ -62,17 +62,10 @@ class TestRunBatch:
 
 class TestSweepMetadata:
     def test_backend_and_wall_time_recorded(self, batch_specs):
-        sweep = ScenarioRunner(workers=4, backend="thread").run_batch(
+        sweep = ScenarioRunner(workers=4, backend="process").run_batch(
             batch_specs)
-        assert sweep.backend == "thread"
+        assert sweep.backend == "process"
         assert sweep.wall_time_s > 0.0
-
-    def test_inline_degenerate_run_reports_serial(self, batch_specs):
-        """A thread request with one worker runs inline; the metadata
-        must say what actually happened."""
-        sweep = ScenarioRunner(workers=1, backend="thread").run_batch(
-            batch_specs[:2])
-        assert sweep.backend == "serial"
 
     def test_metadata_survives_to_dict(self, batch_specs):
         import json

@@ -28,7 +28,7 @@ TINY_FLEET = {"name": "tiny", "base_scenario": "sunny_office_worker",
 def server(tmp_path_factory):
     """One live server (and its store) shared by the module's tests."""
     store = ResultStore(tmp_path_factory.mktemp("store"))
-    service = ServeService(store, workers=2, backend="thread")
+    service = ServeService(store, workers=2, backend="serial")
     with ServerThread(service) as live:
         yield live
 
@@ -54,7 +54,7 @@ class TestDiagnostics:
         stats = json.loads(body)
         assert set(stats) == {"store", "inflight", "entries", "backend",
                               "workers", "transport", "pool"}
-        assert stats["backend"] == "thread"
+        assert stats["backend"] == "serial"
         assert set(stats["transport"]) == {"timeouts",
                                            "client_disconnects",
                                            "drained_at_close"}
@@ -320,7 +320,7 @@ class TestProtocolErrors:
 class TestHardening:
     def test_slow_request_times_out_504(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        service = ServeService(store, workers=1, backend="thread")
+        service = ServeService(store, workers=1, backend="serial")
         real_handle = service.handle
         release = threading.Event()
 
@@ -347,7 +347,7 @@ class TestHardening:
 
     def test_client_disconnect_counted_on_stats(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        service = ServeService(store, workers=1, backend="thread")
+        service = ServeService(store, workers=1, backend="serial")
         with ServerThread(service) as live:
             # Promise a body, then hang up before sending it: the read
             # side sees an incomplete request.
@@ -371,7 +371,7 @@ class TestDrainOnClose:
         them mid-computation: the slow request still gets its 200 and
         the drain is counted under /stats "transport"."""
         store = ResultStore(tmp_path / "store")
-        service = ServeService(store, workers=1, backend="thread")
+        service = ServeService(store, workers=1, backend="serial")
         real_handle = service.handle
         entered = threading.Event()
 
@@ -434,7 +434,7 @@ class TestConcurrency:
     def test_concurrent_identical_requests_coalesce(self, tmp_path):
         # A dedicated server so this test owns the stats counters.
         store = ResultStore(tmp_path / "store")
-        service = ServeService(store, workers=2, backend="thread")
+        service = ServeService(store, workers=2, backend="serial")
         request = {"spec": dict(TINY_FLEET, name="concurrent",
                                 n_wearers=6)}
         results = []

@@ -123,9 +123,9 @@ class TestScenarioCommands:
 
     def test_sweep_json_records_backend_and_wall_time(self, capsys):
         assert main(["sweep", "paper_indoor_worst_case", "night_shift",
-                     "--backend", "thread", "--workers", "2", "--json"]) == 0
+                     "--backend", "process", "--workers", "2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["backend"] == "thread"
+        assert payload["backend"] == "process"
         assert payload["wall_time_s"] > 0.0
 
     def test_simulate_json_reports_harvest_cache(self, capsys):
