@@ -42,7 +42,6 @@ from repro.chaos.spec import (
     load_chaos_file,
 )
 from repro.chaos.strategist import (
-    case_indices,
     case_name,
     chaos_case,
     chaos_cases,
@@ -76,7 +75,6 @@ __all__ = [
     "ChaosSpec",
     "JudgeRulesSpec",
     "load_chaos_file",
-    "case_indices",
     "case_name",
     "chaos_case",
     "chaos_cases",

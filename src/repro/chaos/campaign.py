@@ -8,11 +8,11 @@ Execution goes through the one executor :func:`repro.pool.execute`,
 serial or process (the persistent shared pool of :mod:`repro.pool`):
 the campaign spec is broadcast once per chunk and the chunk handler
 regenerates its own cases from ``(case_index, policy_index)`` pairs,
-wherever it runs.  The result model
-mirrors the fleet's merge-exact sharding: shards own strided case
-subsets, carry raw :class:`RunRecord` values, and
-:meth:`CampaignResult.merge` re-assembles any complete partition into
-a payload bitwise-identical to the unsharded run.
+wherever it runs.  Sharded campaigns follow the strided-shard
+protocol of :mod:`repro.shard`, with cases as the members: a
+:class:`PartialCampaignResult` carries the raw :class:`RunRecord`
+values of its cases and :meth:`CampaignResult.merge` reassembles a
+complete partition.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.chaos.judge import RunJudgement, judge_scenario
 from repro.chaos.spec import ChaosSpec
-from repro.chaos.strategist import case_indices, case_name, chaos_cases
+from repro.chaos.strategist import case_name, chaos_cases
 from repro.errors import SpecError
 from repro.pool import check_backend, check_workers, execute
 from repro.pool.worker import crash_hook
@@ -35,6 +35,7 @@ from repro.scenarios.spec import (
     canonical_json,
     check_mapping_keys,
 )
+from repro.shard import check_members, check_partition, check_shard, members
 
 __all__ = ["RunRecord", "PartialCampaignResult", "CampaignResult",
            "ChaosRunner", "run_campaign", "run_chaos_chunk",
@@ -149,37 +150,14 @@ class PartialCampaignResult:
     wall_time_s: float = 0.0
 
     def __post_init__(self) -> None:
-        for attr in ("shard_index", "shard_count"):
-            value = getattr(self, attr)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SpecError(f"{attr} must be an integer, got {value!r}")
-        if self.shard_count < 1:
-            raise SpecError(
-                f"shard count must be at least 1, got {self.shard_count}")
-        if not 0 <= self.shard_index < self.shard_count:
-            raise SpecError(
-                f"shard index {self.shard_index} outside partition of "
-                f"{self.shard_count}")
         object.__setattr__(self, "policies",
                            _check_policies(self.policies))
         object.__setattr__(self, "records",
                            _sorted_records(self.records, self.policies))
-        seen = set()
-        for record in self.records:
-            if record.case_index >= self.spec.n_cases:
-                raise SpecError(
-                    f"case index {record.case_index} outside campaign "
-                    f"{self.spec.name!r} of {self.spec.n_cases}")
-            if record.case_index % self.shard_count != self.shard_index:
-                raise SpecError(
-                    f"case {record.case_index} does not belong to shard "
-                    f"{self.shard_index}/{self.shard_count}")
-            key = (record.case_index, _policy_key(record.policy))
-            if key in seen:
-                raise SpecError(
-                    f"duplicate record for case {record.case_index} in "
-                    f"shard {self.shard_index}/{self.shard_count}")
-            seen.add(key)
+        check_members(
+            ((record.case_index, _policy_key(record.policy))
+             for record in self.records),
+            (self.shard_index, self.shard_count), self.spec.n_cases, "case")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -197,14 +175,11 @@ class PartialCampaignResult:
         check_mapping_keys("PartialCampaignResult", data,
                            required | {"backend", "wall_time_s"},
                            required=required)
-        shard = data["shard"]
-        if not isinstance(shard, (list, tuple)) or len(shard) != 2:
-            raise SpecError(
-                f"shard must be a [index, count] pair, got {shard!r}")
+        shard_index, shard_count = check_shard(data["shard"])
         return cls(
             spec=ChaosSpec.from_dict(data["spec"]),
-            shard_index=shard[0],
-            shard_count=shard[1],
+            shard_index=shard_index,
+            shard_count=shard_count,
             policies=tuple(PolicySpec.from_dict(p)
                            for p in data["policies"]),
             records=tuple(RunRecord.from_dict(r) for r in data["records"]),
@@ -251,31 +226,12 @@ class CampaignResult:
     def merge(cls, parts: Sequence[PartialCampaignResult],
               ) -> "CampaignResult":
         """Reduce a complete shard partition to the unsharded result."""
-        parts = list(parts)
-        if not parts:
-            raise SpecError("cannot merge zero campaign shards")
-        spec = parts[0].spec
-        counts = {part.shard_count for part in parts}
-        if len(counts) != 1:
-            raise SpecError(
-                f"campaign shards disagree on the partition size: "
-                f"{sorted(counts)}")
-        for part in parts:
-            if part.spec != spec:
-                raise SpecError(
-                    f"campaign shards describe different campaigns: "
-                    f"{spec.name!r} vs {part.spec.name!r}")
-            if part.policies != parts[0].policies:
-                raise SpecError(
-                    "campaign shards disagree on the policy list")
-        seen_shards = [part.shard_index for part in parts]
-        if len(set(seen_shards)) != len(seen_shards):
-            duplicated = sorted({index for index in seen_shards
-                                 if seen_shards.count(index) > 1})
-            raise SpecError(f"duplicate campaign shards: {duplicated} "
-                            f"of {parts[0].shard_count}")
+        parts = check_partition(parts, "campaign")
+        policies = parts[0].policies
+        if any(part.policies != policies for part in parts):
+            raise SpecError("campaign shards disagree on the policy list")
         records = [record for part in parts for record in part.records]
-        return cls(spec=spec, policies=parts[0].policies,
+        return cls(spec=parts[0].spec, policies=policies,
                    records=tuple(records), backend="merged",
                    wall_time_s=sum(part.wall_time_s for part in parts))
 
@@ -389,10 +345,8 @@ class ChaosRunner:
                 from repro.policies.learned import unknown_policy_message
 
                 raise SpecError(unknown_policy_message(policy.name))
-        if shard is None:
-            indices = range(spec.n_cases)
-        else:
-            indices = case_indices(spec, shard[0], shard[1])
+        indices = (range(spec.n_cases) if shard is None
+                   else members(spec.n_cases, shard))
 
         started = time.perf_counter()
         items = [[index, position] for index in indices

@@ -24,7 +24,7 @@ from repro.scenarios.spec import ScenarioSpec, SegmentSpec, TimelineSpec
 from repro.units import SECONDS_PER_DAY
 
 __all__ = ["resolve_axes", "case_name", "chaos_case", "chaos_cases",
-           "case_indices", "generate_payload"]
+           "generate_payload"]
 
 
 def resolve_axes(spec: ChaosSpec) -> list[tuple[str, object]]:
@@ -117,23 +117,6 @@ def chaos_case(spec: ChaosSpec, index: int,
         trace="none",
         faults=tuple(draft.faults),
     )
-
-
-def case_indices(spec: ChaosSpec, shard_index: int,
-                 shard_count: int) -> range:
-    """The case indices belonging to one shard — strided, like fleet
-    wearer shards (``index % N == i``), so any subset of cases can be
-    generated without drawing the rest."""
-    for label, value in (("shard index", shard_index),
-                         ("shard count", shard_count)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SpecError(f"{label} must be an integer, got {value!r}")
-    if shard_count < 1:
-        raise SpecError(f"shard count must be at least 1, got {shard_count}")
-    if not 0 <= shard_index < shard_count:
-        raise SpecError(
-            f"shard index {shard_index} outside partition of {shard_count}")
-    return range(shard_index, spec.n_cases, shard_count)
 
 
 def chaos_cases(spec: ChaosSpec, indices=None) -> list[ScenarioSpec]:

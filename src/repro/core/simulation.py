@@ -201,27 +201,25 @@ class DaySimulation:
         harvester: harvesting chain (defaults to the calibrated dual
             chain from the registries).
         battery: storage (defaults to the 120 mAh cell at 50 %).
-        policy: the decision-maker.  Either a
+        policy: the decision-maker: a
             :class:`repro.policies.base.Policy` protocol object
-            (anything with ``max_rate_per_min`` and ``decide(obs)``),
-            or — for backward compatibility — a bare
-            :class:`~repro.core.manager.ManagerPolicy` threshold set,
-            which is wrapped in the energy-aware adapter.  Defaults to
-            the paper-shaped energy-aware policy.
+            (anything with ``max_rate_per_min`` and ``decide(obs)``).
+            Defaults to the paper-shaped energy-aware policy.  Custom
+            thresholds are spelled
+            ``EnergyAwarePolicy(EnergyAwareManager(E, thresholds))``;
+            the wrapped manager stays reachable as ``self.manager``
+            and supplies the detection energy ``E``, so no default app
+            is built for it.
         step_s: simulation step size.
         sleep_power_w: baseline watch draw on top of detections.  The
             Table I/II intake numbers already include the sleeping
             watch's quiescent current, so the default only charges the
             *additional* always-on overhead beyond deep sleep; pass a
             larger value to model heavier standby activity.
-        manager: the rate-choosing manager; built from ``app`` and
-            ``policy`` when omitted.  Mutually exclusive with
-            ``policy`` (an injected manager brings its own), and when
-            given with no ``app``, no default app is built —
-            ``self.app`` stays ``None``.
         detection_energy_j: energy of one detection; derived from
-            ``app``/``manager`` when omitted.  Passing it avoids
-            re-pricing the app when the caller already has the number.
+            ``app`` (or the policy's wrapped manager) when omitted.
+            Passing it avoids re-pricing the app when the caller
+            already has the number.
         duration_s: default horizon for :meth:`run` (``None`` runs the
             whole timeline); a ``run``-time argument still wins.
         trace: per-step trace retention — a :class:`TraceMode` or its
@@ -241,7 +239,6 @@ class DaySimulation:
                  policy=None,
                  step_s: float = 60.0,
                  sleep_power_w: float = SYSTEM_SLEEP_W,
-                 manager: EnergyAwareManager | None = None,
                  detection_energy_j: float | None = None,
                  duration_s: float | None = None,
                  trace: TraceMode | str = "full",
@@ -254,31 +251,26 @@ class DaySimulation:
             raise SimulationError("default duration must be positive")
         if detection_energy_j is not None and detection_energy_j <= 0:
             raise SimulationError("detection energy must be positive")
-        if manager is not None and policy is not None:
+        if policy is not None and not hasattr(policy, "decide"):
             raise SimulationError(
-                "pass either manager or policy, not both: an injected "
-                "manager brings its own policy")
-        # An injected Policy-protocol object may wrap a pre-built
-        # manager (EnergyAwarePolicy does); that manager both stays
-        # reachable as self.manager for pre-protocol callers and
-        # supplies the detection energy, exactly as manager= injection
-        # does — the two spellings must price detections identically.
-        # The isinstance check keeps the probe off third-party
-        # policies whose unrelated ``manager`` attribute would be
-        # mispriced (or lack detection_energy_j entirely).
-        wrapped_manager = (getattr(policy, "manager", None)
-                          if policy is not None and hasattr(policy, "decide")
-                          else None)
-        if not isinstance(wrapped_manager, EnergyAwareManager):
-            wrapped_manager = None
-        if detection_energy_j is None and wrapped_manager is not None:
-            detection_energy_j = wrapped_manager.detection_energy_j
-        needs_default_app = (app is None and manager is None
-                             and detection_energy_j is None)
+                f"policy must implement decide(obs), got "
+                f"{type(policy).__name__}; wrap manager thresholds as "
+                "EnergyAwarePolicy(EnergyAwareManager(E, thresholds))")
+        # A policy wrapping a pre-built manager (EnergyAwarePolicy does)
+        # keeps it reachable as self.manager and supplies the detection
+        # energy, so the default app is neither built nor priced.  The
+        # isinstance check keeps the probe off third-party policies
+        # whose unrelated ``manager`` attribute would be mispriced (or
+        # lack detection_energy_j entirely).
+        manager = getattr(policy, "manager", None)
+        if not isinstance(manager, EnergyAwareManager):
+            manager = None
+        if detection_energy_j is None and manager is not None:
+            detection_energy_j = manager.detection_energy_j
+        needs_default_app = app is None and detection_energy_j is None
         if harvester is None or battery is None or needs_default_app:
             # Deferred so the engine has no import-time dependency on
-            # the construction layer (which imports this module).  An
-            # injected manager needs no app, so none is built for it.
+            # the construction layer (which imports this module).
             from repro.scenarios import builder
             if needs_default_app:
                 app = builder.build_app()
@@ -286,29 +278,19 @@ class DaySimulation:
                 harvester = builder.build_harvester(cached=True)
             if battery is None:
                 battery = builder.build_battery()
+        if detection_energy_j is None:
+            detection_energy_j = app.energy_budget().total_j
+        if policy is None:
+            from repro.policies.library import EnergyAwarePolicy
+            manager = EnergyAwareManager(detection_energy_j)
+            policy = EnergyAwarePolicy(manager)
         self.timeline = timeline
         self.app = app
         self.harvester = harvester
         self.battery = battery
-        if manager is not None:
-            # Injected pre-built manager: wrap it behind the protocol.
-            from repro.policies.library import EnergyAwarePolicy
-            self.manager = manager
-            self.policy = EnergyAwarePolicy(manager)
-            self.detection_energy_j = manager.detection_energy_j
-        else:
-            if detection_energy_j is None:
-                detection_energy_j = app.energy_budget().total_j
-            self.detection_energy_j = detection_energy_j
-            if policy is not None and hasattr(policy, "decide"):
-                self.policy = policy
-                self.manager = wrapped_manager
-            else:
-                # None or a bare ManagerPolicy threshold set: build the
-                # classic energy-aware manager and adapt it.
-                from repro.policies.library import EnergyAwarePolicy
-                self.manager = EnergyAwareManager(detection_energy_j, policy)
-                self.policy = EnergyAwarePolicy(self.manager)
+        self.detection_energy_j = detection_energy_j
+        self.policy = policy
+        self.manager = manager
         self.step_s = step_s
         self.sleep_power_w = sleep_power_w
         self.duration_s = duration_s

@@ -45,7 +45,6 @@ from repro.fleet.samplers import (
     register_sampler,
 )
 from repro.fleet.population import (
-    shard_indices,
     template_segments,
     wearer_name,
     wearer_scenario,
@@ -93,7 +92,6 @@ __all__ = [
     "TimelineSampler",
     "build_sampler",
     "register_sampler",
-    "shard_indices",
     "template_segments",
     "wearer_name",
     "wearer_scenario",

@@ -40,6 +40,7 @@ from repro.fleet.spec import FleetSpec
 from repro.pool import BACKENDS as POOL_BACKENDS
 from repro.pool import check_backend, check_workers
 from repro.scenarios.spec import canonical_json, check_mapping_keys
+from repro.shard import check_shard
 
 __all__ = ["plan_manifest", "write_manifest", "load_manifest",
            "orchestrate", "MANIFEST_NAME"]
@@ -105,11 +106,9 @@ def plan_manifest(kind: str, spec, shard_count: int,
                         f"{list(KINDS)}")
     check_backend(backend, SHARD_BACKENDS[kind])
     check_workers(workers)
-    if isinstance(shard_count, bool) or not isinstance(shard_count, int):
-        raise SpecError(f"shard count must be an integer, "
-                        f"got {shard_count!r}")
+    check_shard((0, shard_count))
     population = _task_count_of(kind, spec)
-    if not 1 <= shard_count <= population:
+    if shard_count > population:
         raise SpecError(
             f"shard count must lie in [1, {population}] for this "
             f"{kind} campaign, got {shard_count}")

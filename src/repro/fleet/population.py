@@ -35,40 +35,12 @@ from repro.units import SECONDS_PER_DAY
 
 __all__ = [
     "run_wearer_chunk",
-    "shard_indices",
     "template_segments",
     "wearer_name",
     "wearer_scenario",
     "wearer_scenarios",
     "with_policy",
 ]
-
-
-def shard_indices(fleet: FleetSpec, shard_index: int,
-                  shard_count: int) -> range:
-    """The wearer indices belonging to one shard of a partition.
-
-    Shards are *strided*: shard ``i`` of ``N`` owns every wearer with
-    ``index % N == i``.  Striding keeps the shards balanced for any
-    fleet size, and because each wearer's randomness comes from its
-    own ``random.Random(seed + index)``, any subset of wearers can be
-    materialized without generating the rest — which is what makes the
-    partition safe in the first place.
-
-    >>> list(shard_indices(FleetSpec(name="d", base_scenario="s",
-    ...                              n_wearers=7), 1, 3))
-    [1, 4]
-    """
-    for label, value in (("shard index", shard_index),
-                         ("shard count", shard_count)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SpecError(f"{label} must be an integer, got {value!r}")
-    if shard_count < 1:
-        raise SpecError(f"shard count must be at least 1, got {shard_count}")
-    if not 0 <= shard_index < shard_count:
-        raise SpecError(
-            f"shard index {shard_index} outside partition of {shard_count}")
-    return range(shard_index, fleet.n_wearers, shard_count)
 
 
 def template_segments(base: ScenarioSpec) -> tuple[SegmentSpec, ...]:
@@ -159,9 +131,10 @@ def wearer_scenarios(fleet: FleetSpec,
     gets a fresh sampler and its own ``seed + index`` generator, so
     any wearer's scenario can also be regenerated alone
     (:func:`wearer_scenario`) and matches this list entry exactly.
-    Sharded fleet runs pass :func:`shard_indices` to materialize only
-    their own wearers — the other wearers' randomness is never drawn,
-    and the generated specs are identical to the full run's entries.
+    Sharded fleet runs pass :func:`repro.shard.members` to materialize
+    only their own wearers — the other wearers' randomness is never
+    drawn, and the generated specs are identical to the full run's
+    entries.
     """
     base = get_scenario(fleet.base_scenario)
     template = template_segments(base)

@@ -15,15 +15,12 @@ that legitimately varies — which backend ran, how long it took — lives
 on the result object (``backend``, ``wall_time_s``) but stays out of
 the canonical dict.
 
-Sharded execution splits a fleet across machines: each shard runs a
-strided subset of the wearers and yields a :class:`PartialFleetResult`
-holding the raw per-wearer :class:`WearerRecord` values instead of a
-premature reduction (percentiles do not compose, so partials must
-carry the sample).  :meth:`FleetResult.merge` re-assembles any
-complete partition — records are re-ordered by wearer index and fed
-through the *same* reduction as the unsharded path, and JSON floats
-round-trip exactly, so the merged canonical payload is
-bitwise-identical to :meth:`FleetRunner.run` without sharding.
+Sharded fleet runs follow the strided-shard protocol of
+:mod:`repro.shard`: a :class:`PartialFleetResult` carries one raw
+:class:`WearerRecord` per wearer of its shard, and
+:meth:`FleetResult.merge` feeds a complete partition through
+:meth:`FleetResult.from_records`, the reduction the unsharded path
+uses.
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ from repro.errors import SpecError
 from repro.fleet.spec import FleetSpec
 from repro.scenarios.runner import ScenarioOutcome
 from repro.scenarios.spec import canonical_json, check_mapping_keys
+from repro.shard import check_members, check_partition, check_shard
 
 __all__ = ["percentile", "DistributionSummary", "WearerRecord",
            "PartialFleetResult", "FleetResult", "load_partial_file"]
@@ -214,32 +212,10 @@ class PartialFleetResult:
     wall_time_s: float = 0.0
 
     def __post_init__(self) -> None:
-        for attr in ("shard_index", "shard_count"):
-            value = getattr(self, attr)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SpecError(f"{attr} must be an integer, got {value!r}")
-        if self.shard_count < 1:
-            raise SpecError(
-                f"shard count must be at least 1, got {self.shard_count}")
-        if not 0 <= self.shard_index < self.shard_count:
-            raise SpecError(
-                f"shard index {self.shard_index} outside partition of "
-                f"{self.shard_count}")
         object.__setattr__(self, "records", tuple(self.records))
-        for record in self.records:
-            if record.index >= self.spec.n_wearers:
-                raise SpecError(
-                    f"wearer index {record.index} outside fleet "
-                    f"{self.spec.name!r} of {self.spec.n_wearers}")
-            if record.index % self.shard_count != self.shard_index:
-                raise SpecError(
-                    f"wearer {record.index} does not belong to shard "
-                    f"{self.shard_index}/{self.shard_count}")
-        indices = [record.index for record in self.records]
-        if len(set(indices)) != len(indices):
-            raise SpecError(
-                f"duplicate wearer records in shard "
-                f"{self.shard_index}/{self.shard_count}")
+        check_members(((record.index,) for record in self.records),
+                      (self.shard_index, self.shard_count),
+                      self.spec.n_wearers, "wearer")
 
     def to_dict(self) -> dict[str, Any]:
         """The shard payload (``repro fleet run --shard`` writes it).
@@ -264,10 +240,7 @@ class PartialFleetResult:
         check_mapping_keys("PartialFleetResult", data,
                            required | {"backend", "wall_time_s"},
                            required=required)
-        shard = data["shard"]
-        if (not isinstance(shard, (list, tuple)) or len(shard) != 2):
-            raise SpecError(
-                f"shard must be a [index, count] pair, got {shard!r}")
+        shard_index, shard_count = check_shard(data["shard"])
         wearers = data["wearers"]
         if not isinstance(wearers, (list, tuple)):
             raise SpecError(
@@ -275,8 +248,8 @@ class PartialFleetResult:
                 f"{type(wearers).__name__}")
         return cls(
             spec=FleetSpec.from_dict(data["spec"]),
-            shard_index=shard[0],
-            shard_count=shard[1],
+            shard_index=shard_index,
+            shard_count=shard_count,
             records=tuple(WearerRecord.from_dict(r) for r in wearers),
             backend=data.get("backend", ""),
             wall_time_s=data.get("wall_time_s", 0.0),
@@ -401,31 +374,11 @@ class FleetResult:
         contract ``tests/fleet/test_sharding.py`` pins for
         N ∈ {1, 2, 3, 7} against JSON round-tripped parts).
         """
-        parts = list(parts)
-        if not parts:
-            raise SpecError("cannot merge zero fleet shards")
-        spec = parts[0].spec
-        counts = {part.shard_count for part in parts}
-        if len(counts) != 1:
-            raise SpecError(
-                f"fleet shards disagree on the partition size: "
-                f"{sorted(counts)}")
-        for part in parts:
-            if part.spec != spec:
-                raise SpecError(
-                    f"fleet shards describe different fleets: "
-                    f"{spec.name!r} vs {part.spec.name!r} (every shard "
-                    "must carry the identical FleetSpec)")
-        seen_shards = [part.shard_index for part in parts]
-        if len(set(seen_shards)) != len(seen_shards):
-            duplicated = sorted({index for index in seen_shards
-                                 if seen_shards.count(index) > 1})
-            raise SpecError(f"duplicate fleet shards: {duplicated} "
-                            f"of {parts[0].shard_count}")
+        parts = check_partition(parts, "fleet")
         records = [record for part in parts for record in part.records]
-        wall_time_s = sum(part.wall_time_s for part in parts)
-        return cls.from_records(spec, records, backend="merged",
-                                wall_time_s=wall_time_s)
+        return cls.from_records(
+            parts[0].spec, records, backend="merged",
+            wall_time_s=sum(part.wall_time_s for part in parts))
 
     def canonical_json(self) -> str:
         """The canonical payload through the one shared encoder.

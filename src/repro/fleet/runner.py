@@ -28,9 +28,8 @@ scenario-level policy grid search to the population: every
 against the same sampled wearers and ranked by the same ordering.
 
 Sharded execution splits one fleet across machines:
-``run(fleet, shard=(i, N))`` materializes only the wearers with
-``index % N == i`` (per-wearer ``random.Random(seed + index)`` makes
-any subset independently generatable) and returns a
+``run(fleet, shard=(i, N))`` materializes only the wearers shard ``i``
+owns under :mod:`repro.shard` and returns a
 :class:`~repro.fleet.result.PartialFleetResult`;
 :meth:`~repro.fleet.result.FleetResult.merge` reduces a complete
 partition to a result bitwise-identical to the unsharded run.
@@ -43,8 +42,8 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.errors import SpecError
-from repro.fleet.population import (shard_indices, wearer_name,
-                                    wearer_scenarios, with_policy)
+from repro.fleet.population import (wearer_name, wearer_scenarios,
+                                    with_policy)
 from repro.fleet.result import FleetResult, PartialFleetResult, WearerRecord
 from repro.fleet.spec import FleetSpec
 from repro.fleet.vector import run_batch_vector
@@ -53,6 +52,7 @@ from repro.pool import BACKENDS as POOL_BACKENDS
 from repro.pool import check_backend, check_workers, execute
 from repro.scenarios.runner import ScenarioOutcome, SweepResult
 from repro.scenarios.spec import PolicySpec, ScenarioSpec, canonical_json
+from repro.shard import members
 
 __all__ = ["BACKENDS", "FleetRunner", "ComparisonEntry", "FleetComparison",
            "FleetGridResult", "run_fleet"]
@@ -247,21 +247,15 @@ class FleetRunner:
             return FleetResult.from_outcomes(fleet, sweep.outcomes,
                                              backend=sweep.backend,
                                              wall_time_s=sweep.wall_time_s)
-        try:
-            shard_index, shard_count = shard
-        except (TypeError, ValueError):
-            raise SpecError(
-                f"shard must be an (index, count) pair, got {shard!r}"
-            ) from None
-        indices = shard_indices(fleet, shard_index, shard_count)
+        indices = members(fleet.n_wearers, shard)
         sweep = self._sweep_wearers(fleet, indices, None, workers, backend)
         records = tuple(
             WearerRecord.from_outcome(index, outcome)
             for index, outcome in zip(indices, sweep.outcomes))
         return PartialFleetResult(
             spec=fleet,
-            shard_index=shard_index,
-            shard_count=shard_count,
+            shard_index=shard[0],
+            shard_count=shard[1],
             records=records,
             backend=sweep.backend,
             wall_time_s=sweep.wall_time_s,

@@ -8,10 +8,10 @@ its ceiling.  Everything is deterministic — the fleet's wearers are
 seeded, the engine is, the oracle is stateless — so the same
 :class:`~repro.learn.spec.DatasetSpec` always produces the same bytes.
 
-Sharding follows the fleet convention: ``shard=(i, n)`` replays only
-the wearers of the strided partition, and :meth:`Dataset.merge` over a
-complete partition reassembles the exact unsharded dataset (samples
-re-ordered by wearer, bitwise identical — pinned by tests).
+Sharding follows the strided-shard protocol of :mod:`repro.shard`,
+with wearers as the members: ``shard=(i, n)`` replays only the wearers
+shard ``i`` owns, and :meth:`Dataset.merge` sorts the samples of a
+complete partition by ``(wearer, time_s)``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.learn.spec import DatasetSpec
 from repro.policies.base import PolicyDecision, PowerObservation
 from repro.policies.learned import FEATURE_NAMES, extract_features
 from repro.scenarios.spec import canonical_json
+from repro.shard import check_members, check_partition, check_shard, members
 
 __all__ = ["Sample", "Dataset", "RecordingPolicy", "generate_dataset",
            "load_dataset_file"]
@@ -128,10 +129,12 @@ class Dataset:
     samples: tuple[Sample, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 0 <= self.shard_index < self.shard_count:
-            raise SpecError(
-                f"dataset shard {self.shard_index}/{self.shard_count} is "
-                f"not a valid partition position")
+        # The wearer cap bounds the population when one is set; the
+        # uncapped size would need a fleet-registry lookup.
+        check_members(((sample.wearer, sample.time_s)
+                       for sample in self.samples),
+                      (self.shard_index, self.shard_count),
+                      self.spec.wearers or None, "wearer")
 
     @property
     def wearers(self) -> list[int]:
@@ -185,11 +188,10 @@ class Dataset:
                 f"{what} was generated with features "
                 f"{header.get('features')!r}, but this build extracts "
                 f"{list(FEATURE_NAMES)} — regenerate the dataset")
-        shard = header.get("shard", [0, 1])
-        if (not isinstance(shard, list) or len(shard) != 2
-                or not all(isinstance(v, int) for v in shard)):
-            raise SpecError(f"{what} header shard must be [index, count], "
-                            f"got {shard!r}")
+        try:
+            shard_index, shard_count = check_shard(header.get("shard", [0, 1]))
+        except SpecError as exc:
+            raise SpecError(f"{what} header: {exc}") from None
         samples = []
         for number, line in enumerate(lines[1:], start=2):
             try:
@@ -199,7 +201,7 @@ class Dataset:
                     f"{what} line {number} is not valid JSON: {exc}") from None
             samples.append(Sample.from_dict(data))
         return cls(spec=DatasetSpec.from_dict(header.get("spec", {})),
-                   shard_index=shard[0], shard_count=shard[1],
+                   shard_index=shard_index, shard_count=shard_count,
                    samples=tuple(samples))
 
     @classmethod
@@ -212,31 +214,11 @@ class Dataset:
         scenarios are independent, so sample values never depend on
         the partition).
         """
-        parts = list(parts)
-        if not parts:
-            raise SpecError("dataset merge needs at least one part")
-        spec = parts[0].spec
-        count = parts[0].shard_count
-        positions = []
-        for part in parts:
-            if part.spec != spec:
-                raise SpecError(
-                    f"dataset merge mixes specs: {part.spec.to_dict()} "
-                    f"vs {spec.to_dict()}")
-            if part.shard_count != count:
-                raise SpecError(
-                    f"dataset merge mixes shard counts: "
-                    f"{part.shard_count} vs {count}")
-            positions.append(part.shard_index)
-        if sorted(positions) != list(range(count)):
-            raise SpecError(
-                f"dataset merge needs each shard 0..{count - 1} exactly "
-                f"once, got indices {sorted(positions)}")
+        parts = check_partition(parts, "dataset")
         merged = sorted(
             (sample for part in parts for sample in part.samples),
             key=lambda sample: (sample.wearer, sample.time_s))
-        return cls(spec=spec, shard_index=0, shard_count=1,
-                   samples=tuple(merged))
+        return cls(spec=parts[0].spec, samples=tuple(merged))
 
 
 def generate_dataset(spec: DatasetSpec,
@@ -250,15 +232,13 @@ def generate_dataset(spec: DatasetSpec,
             the resulting partial datasets merge exactly
             (:meth:`Dataset.merge`).
     """
-    from repro.fleet import shard_indices, wearer_scenarios
+    from repro.fleet import wearer_scenarios
     from repro.scenarios import build_simulation
 
     fleet = spec.resolved_fleet()
     if shard is None:
         shard = (0, 1)
-        indices = list(range(fleet.n_wearers))
-    else:
-        indices = shard_indices(fleet, shard[0], shard[1])
+    indices = members(fleet.n_wearers, shard)
     teacher = spec.teacher_policy()
     samples: list[Sample] = []
     for index, scenario in zip(indices, wearer_scenarios(fleet, indices)):

@@ -10,7 +10,6 @@ from repro.chaos import (
     ChaosAxisSpec,
     ChaosSpec,
     ScenarioDraft,
-    case_indices,
     case_name,
     chaos_case,
     chaos_cases,
@@ -19,6 +18,7 @@ from repro.chaos import (
 )
 from repro.errors import SpecError
 from repro.scenarios.spec import ScenarioSpec, canonical_json
+from repro.shard import members
 
 SPEC = ChaosSpec(name="det", n_cases=6, horizon_days=2, seed=123)
 
@@ -116,20 +116,20 @@ class TestComposition:
 
 class TestSharding:
     def test_strided_partition(self):
-        assert list(case_indices(SPEC, 0, 2)) == [0, 2, 4]
-        assert list(case_indices(SPEC, 1, 2)) == [1, 3, 5]
+        assert list(members(SPEC.n_cases, (0, 2))) == [0, 2, 4]
+        assert list(members(SPEC.n_cases, (1, 2))) == [1, 3, 5]
 
     def test_shard_cases_match_full_campaign(self):
         everything = chaos_cases(SPEC)
         for shard in range(3):
-            indices = case_indices(SPEC, shard, 3)
+            indices = members(SPEC.n_cases, (shard, 3))
             assert chaos_cases(SPEC, indices) == [everything[i]
                                                   for i in indices]
 
     def test_shard_validation(self):
         with pytest.raises(SpecError, match="shard index"):
-            case_indices(SPEC, 2, 2)
+            members(SPEC.n_cases, (2, 2))
         with pytest.raises(SpecError, match="shard count"):
-            case_indices(SPEC, 0, 0)
+            members(SPEC.n_cases, (0, 0))
         with pytest.raises(SpecError, match="integer"):
-            case_indices(SPEC, True, 2)
+            members(SPEC.n_cases, (True, 2))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import DaySimulation
-from repro.core.manager import ManagerPolicy
+from repro.core.manager import EnergyAwareManager, ManagerPolicy
 from repro.errors import SimulationError
 from repro.harvest.environment import (
     DARKNESS,
@@ -13,7 +13,9 @@ from repro.harvest.environment import (
     OUTDOOR_SUN_30KLX,
     TEG_ROOM_22C_NO_WIND,
 )
+from repro.policies import EnergyAwarePolicy
 from repro.power.battery import LiPoBattery
+from repro.scenarios.builder import build_app
 
 
 def office_day_timeline():
@@ -22,6 +24,12 @@ def office_day_timeline():
         EnvironmentSample(6 * 3600.0, INDOOR_OFFICE_700LX, TEG_ROOM_22C_NO_WIND),
         EnvironmentSample(18 * 3600.0, DARKNESS, TEG_ROOM_22C_NO_WIND),
     ])
+
+
+def energy_aware(thresholds: ManagerPolicy) -> EnergyAwarePolicy:
+    """The default energy-aware policy with custom thresholds."""
+    return EnergyAwarePolicy(EnergyAwareManager(
+        build_app().energy_budget().total_j, thresholds))
 
 
 class TestBasicRuns:
@@ -85,7 +93,8 @@ class TestEnergyBehaviour:
             EnvironmentSample(86400.0, DARKNESS, TEG_ROOM_22C_NO_WIND),
         ])
         battery = LiPoBattery(initial_soc=0.05)
-        policy = ManagerPolicy(min_rate_per_min=1.0, max_rate_per_min=24.0)
+        policy = energy_aware(
+            ManagerPolicy(min_rate_per_min=1.0, max_rate_per_min=24.0))
         result = DaySimulation(dark, battery=battery, policy=policy,
                                step_s=600.0).run(7200.0)
         assert all(step.detection_rate_per_min == 1.0 for step in result.steps)
@@ -124,7 +133,7 @@ class TestEnergyBehaviour:
             EnvironmentSample(86400.0, OUTDOOR_SUN_30KLX, TEG_ROOM_22C_NO_WIND),
         ])
         battery = LiPoBattery(capacity_mah=1.0, initial_soc=0.01)
-        policy = ManagerPolicy(max_rate_per_min=24.0)
+        policy = energy_aware(ManagerPolicy(max_rate_per_min=24.0))
         result = DaySimulation(outage_then_sun, battery=battery,
                                policy=policy, step_s=300.0).run()
         step_cap = 24.0 * 300.0 / 60.0

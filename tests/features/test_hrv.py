@@ -10,6 +10,16 @@ from repro.features import nn50, pnn50, rmssd, sdsd, successive_differences
 rr_series = st.lists(st.floats(min_value=0.3, max_value=2.0, allow_nan=False),
                      min_size=3, max_size=100).map(np.array)
 
+#: Intervals on a 2**-10 s grid: sums and differences of grid values are
+#: exact in float64, so a shift cannot re-round an interval difference
+#: across the 50 ms nn50 threshold.
+GRID_S = 2.0 ** -10
+dyadic_rr_series = st.lists(st.integers(min_value=308, max_value=2048),
+                            min_size=3, max_size=100).map(
+    lambda ticks: np.array(ticks) * GRID_S)
+dyadic_shifts = st.integers(min_value=-102, max_value=102).map(
+    lambda ticks: ticks * GRID_S)
+
 
 class TestDefinitions:
     def test_known_rmssd(self):
@@ -78,13 +88,12 @@ class TestProperties:
         assert sdsd(constant) == 0.0
         assert nn50(constant) == 0
 
-    @given(rr_series, st.floats(min_value=-0.1, max_value=0.1))
+    @given(dyadic_rr_series, dyadic_shifts)
     def test_shift_invariance(self, rr, shift):
         """Adding a constant to every interval leaves diffs unchanged."""
         shifted = rr + shift
-        if np.all(shifted > 0):
-            assert rmssd(shifted) == pytest.approx(rmssd(rr), abs=1e-12)
-            assert nn50(shifted) == nn50(rr)
+        assert rmssd(shifted) == pytest.approx(rmssd(rr), abs=1e-12)
+        assert nn50(shifted) == nn50(rr)
 
     @given(rr_series)
     def test_time_reversal_invariance(self, rr):

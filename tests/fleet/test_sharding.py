@@ -24,8 +24,8 @@ from repro.fleet import (
     SamplerSpec,
     WearerRecord,
     load_partial_file,
-    shard_indices,
 )
+from repro.shard import members
 
 FLEET = FleetSpec(name="sharded", base_scenario="sunny_office_worker",
                   n_wearers=7, horizon_days=1, seed=11,
@@ -44,17 +44,17 @@ class TestShardIndices:
     def test_strided_partition_covers_everyone_once(self):
         for count in PARTITIONS:
             indices = [i for shard in range(count)
-                       for i in shard_indices(FLEET, shard, count)]
+                       for i in members(FLEET.n_wearers, (shard, count))]
             assert sorted(indices) == list(range(FLEET.n_wearers))
 
     def test_membership_is_strided(self):
-        assert list(shard_indices(FLEET, 1, 3)) == [1, 4]
+        assert list(members(FLEET.n_wearers, (1, 3))) == [1, 4]
 
     def test_empty_shard_allowed(self):
         # More shards than wearers: the tail shards are legitimately
         # empty (a cluster can over-partition a small fleet).
-        assert list(shard_indices(FLEET, 0, 100)) == [0]
-        assert list(shard_indices(FLEET, 99, 100)) == []
+        assert list(members(FLEET.n_wearers, (0, 100))) == [0]
+        assert list(members(FLEET.n_wearers, (99, 100))) == []
 
     @pytest.mark.parametrize("index,count,message", [
         (3, 3, "outside partition"),
@@ -64,7 +64,7 @@ class TestShardIndices:
     ])
     def test_bad_partitions_rejected(self, index, count, message):
         with pytest.raises(SpecError, match=message):
-            shard_indices(FLEET, index, count)
+            members(FLEET.n_wearers, (index, count))
 
 
 class TestMergeExact:
@@ -133,12 +133,12 @@ class TestMergeValidation:
 
     def test_missing_shard_rejected(self):
         parts = self._parts(3)
-        with pytest.raises(SpecError, match="expected 7 outcomes, got 5"):
+        with pytest.raises(SpecError, match=r"missing \[2\]"):
             FleetResult.merge(parts[:2])
 
     def test_duplicate_shard_rejected(self):
         parts = self._parts(2)
-        with pytest.raises(SpecError, match="duplicate fleet shards"):
+        with pytest.raises(SpecError, match=r"duplicated \[0\]"):
             FleetResult.merge([parts[0], parts[0], parts[1]])
 
     def test_mismatched_partition_size_rejected(self):
@@ -174,14 +174,14 @@ class TestPartialShape:
         with pytest.raises(SpecError, match="does not belong to shard"):
             PartialFleetResult(spec=FLEET, shard_index=1, shard_count=2,
                                records=(record,))
-        with pytest.raises(SpecError, match="outside fleet"):
+        with pytest.raises(SpecError, match="outside the population"):
             PartialFleetResult(
                 spec=FLEET, shard_index=0, shard_count=1,
                 records=(WearerRecord(index=99, energy_neutral=True,
                                       final_soc=0.5,
                                       detections_per_day=1.0,
                                       downtime_s=0.0),))
-        with pytest.raises(SpecError, match="duplicate wearer records"):
+        with pytest.raises(SpecError, match="duplicate wearer 0 record"):
             PartialFleetResult(spec=FLEET, shard_index=0, shard_count=1,
                                records=(record, record))
 

@@ -262,20 +262,22 @@ class TestEngineIntegration:
         assert wrapped == default
 
     def test_adapter_injection_prices_like_manager_injection(self):
-        """policy=EnergyAwarePolicy(m) and manager=m are two spellings
-        of the same system: the wrapped manager's detection energy must
-        reach the battery accounting, not the default app's."""
+        """policy=EnergyAwarePolicy(m) prices detections with the
+        wrapped manager's energy, exactly as passing that energy
+        explicitly does — not with the default app's."""
         timeline = sun_after_darkness()
         manager = EnergyAwareManager(2 * DETECTION_J)  # non-default energy
-        via_manager = DaySimulation(timeline, manager=manager,
-                                    step_s=300.0)
+        explicit = DaySimulation(timeline,
+                                 policy=EnergyAwarePolicy(manager),
+                                 detection_energy_j=2 * DETECTION_J,
+                                 step_s=300.0)
         via_policy = DaySimulation(timeline,
                                    policy=EnergyAwarePolicy(manager),
                                    step_s=300.0)
         assert via_policy.detection_energy_j == 2 * DETECTION_J
         assert via_policy.manager is manager
         assert via_policy.app is None  # no default app built either way
-        assert via_policy.run() == via_manager.run()
+        assert via_policy.run() == explicit.run()
 
     def test_unrelated_manager_attribute_is_not_duck_typed(self):
         """A third-party policy whose `manager` attribute is not an

@@ -140,19 +140,21 @@ class TestBuildSimulation:
     def test_injected_manager_used_without_building_an_app(self):
         from repro.scenarios.library import paper_indoor_day
 
+        from repro.policies import EnergyAwarePolicy
+
         manager = EnergyAwareManager(1e-3, ManagerPolicy(max_rate_per_min=2.0))
-        sim = DaySimulation(paper_indoor_day(), manager=manager)
+        sim = DaySimulation(paper_indoor_day(),
+                            policy=EnergyAwarePolicy(manager))
         assert sim.manager is manager
+        assert sim.detection_energy_j == 1e-3
         assert sim.app is None  # no default app built for it
 
-    def test_manager_and_policy_together_rejected(self):
+    def test_bare_manager_policy_rejected(self):
         from repro.errors import SimulationError
         from repro.scenarios.library import paper_indoor_day
 
-        manager = EnergyAwareManager(1e-3)
-        with pytest.raises(SimulationError, match="not both"):
-            DaySimulation(paper_indoor_day(), manager=manager,
-                          policy=ManagerPolicy())
+        with pytest.raises(SimulationError, match=r"EnergyAwarePolicy\("):
+            DaySimulation(paper_indoor_day(), policy=ManagerPolicy())
 
     def test_solar_only_harvester_ignores_teg(self):
         from repro.harvest.environment import DARKNESS, TEG_ROOM_15C_WIND_42KMH

@@ -444,7 +444,7 @@ class TestFleetShardCommands:
                      "--out", str(part), "--backend", "serial"]) == 0
         capsys.readouterr()
         assert main(["fleet", "merge", str(part)]) == 2
-        assert "expected 4 outcomes" in capsys.readouterr().err
+        assert "missing [1]" in capsys.readouterr().err
 
     def test_merge_unreadable_file_errors(self, tmp_path, capsys):
         assert main(["fleet", "merge", str(tmp_path / "ghost.json")]) == 2
