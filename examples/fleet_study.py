@@ -11,7 +11,7 @@ custom timeline sampler to show the plug-in contract.  The same
 studies are available from the command line::
 
     python -m repro fleet run office_cohort_week
-    python -m repro fleet compare office_cohort_week \
+    python -m repro fleet search office_cohort_week \
         --policy energy_aware --policy ewma_forecast
 
 Run with::
@@ -24,10 +24,10 @@ from repro.fleet import (
     FleetSpec,
     SamplerSpec,
     register_sampler,
-    run_fleet,
     wearer_scenario,
 )
-from repro.scenarios.spec import PolicySpec, SegmentSpec
+from repro.policies import PolicyGrid
+from repro.scenarios.spec import SegmentSpec
 
 
 def main() -> None:
@@ -43,7 +43,7 @@ def main() -> None:
         sampler=SamplerSpec("daily_jitter", {"lux_sigma": 0.5}),
         description="12 commuters, five jittered days",
     )
-    result = run_fleet(fleet, workers=4, backend="process")
+    result = FleetRunner(workers=4, backend="process").run(fleet)
     print(result.format_summary())
 
     # 2. Every wearer is inspectable: regenerate wearer 7's scenario
@@ -55,10 +55,10 @@ def main() -> None:
 
     # 3. Paired policy comparison: the same 12 sampled environments,
     #    decided by different managers, ranked by the p5 tail.
-    comparison = FleetRunner(workers=4).compare(fleet, [
-        PolicySpec("energy_aware"),
-        PolicySpec("ewma_forecast", {"alpha": 0.2}),
-        PolicySpec("static_duty_cycle", {"rate_per_min": 24.0}),
+    comparison = FleetRunner(workers=4).run_grid(fleet, [
+        PolicyGrid("energy_aware"),
+        PolicyGrid("ewma_forecast", base={"alpha": 0.2}),
+        PolicyGrid("static_duty_cycle", base={"rate_per_min": 24.0}),
     ])
     print()
     print(comparison.format_table())
@@ -80,9 +80,9 @@ def main() -> None:
                 ) for seg in base)
         return BasementWeek()
 
-    dark = run_fleet(fleet.replace(name="example_basement",
-                                   sampler=SamplerSpec("basement_week")),
-                     backend="serial")
+    dark = FleetRunner(backend="serial").run(
+        fleet.replace(name="example_basement",
+                      sampler=SamplerSpec("basement_week")))
     print(f"\nbasement fleet: {100 * dark.fraction_energy_neutral:.0f}% "
           f"energy-neutral, p5 final SoC "
           f"{100 * dark.final_soc.p5:.1f}% (TEG-only survival)")

@@ -18,7 +18,6 @@ from repro.chaos.campaign import (
     RunRecord,
     default_policies,
     load_campaign_result,
-    run_campaign,
 )
 from repro.chaos.judge import (
     VERDICTS,
@@ -59,7 +58,6 @@ __all__ = [
     "RunRecord",
     "default_policies",
     "load_campaign_result",
-    "run_campaign",
     "VERDICTS",
     "LedgerBattery",
     "RunJudgement",

@@ -38,7 +38,7 @@ from repro.scenarios.spec import (
 from repro.shard import check_members, check_partition, check_shard, members
 
 __all__ = ["RunRecord", "PartialCampaignResult", "CampaignResult",
-           "ChaosRunner", "run_campaign", "run_chaos_chunk",
+           "ChaosRunner", "run_chaos_chunk",
            "default_policies", "load_campaign_result"]
 
 
@@ -313,7 +313,7 @@ class ChaosRunner:
     """Executes chaos campaigns, optionally in parallel or sharded.
 
     Args:
-        workers: default worker count.
+        workers: parallelism ceiling for the process backend.
         backend: ``"serial"`` (default) or ``"process"``.
     """
 
@@ -324,8 +324,6 @@ class ChaosRunner:
     def run(self, spec: ChaosSpec,
             policies: Sequence[PolicySpec] | None = None,
             shard: tuple[int, int] | None = None,
-            workers: int | None = None,
-            backend: str | None = None,
             ) -> "CampaignResult | PartialCampaignResult":
         """Judge every (case, policy) run of the campaign.
 
@@ -336,7 +334,6 @@ class ChaosRunner:
             shard: ``(index, count)`` — generate and run only the
                 strided case subset, returning a
                 :class:`PartialCampaignResult`.
-            workers / backend: override the runner defaults.
         """
         policies = _check_policies(default_policies()
                                    if policies is None else policies)
@@ -356,8 +353,7 @@ class ChaosRunner:
             {"spec": spec.to_dict(),
              "policies": [policy.to_dict() for policy in policies]},
             items,
-            backend=self.backend if backend is None else backend,
-            workers=self.workers if workers is None else workers,
+            backend=self.backend, workers=self.workers,
             name_of=lambda i: (f"{case_name(spec, items[i][0])} x "
                                f"{policies[items[i][1]].name}"))
         records = tuple(RunRecord.from_dict(payload) for payload in results)
@@ -370,12 +366,6 @@ class ChaosRunner:
             spec=spec, shard_index=shard[0], shard_count=shard[1],
             policies=policies, records=records, backend=used,
             wall_time_s=wall)
-
-
-def run_campaign(spec: ChaosSpec, workers: int = 1,
-                 backend: str = "serial", **kwargs) -> CampaignResult:
-    """One-call campaign run (what ``repro chaos run`` uses)."""
-    return ChaosRunner(workers=workers, backend=backend).run(spec, **kwargs)
 
 
 def load_campaign_result(

@@ -34,7 +34,7 @@ population statistics::
     python -m repro fleet list                           # built-in fleets
     python -m repro fleet run office_cohort_week         # run a library fleet
     python -m repro fleet run my_fleet.json --backend process --json
-    python -m repro fleet compare office_cohort_week \
+    python -m repro fleet search office_cohort_week \
         --policy energy_aware --policy ewma_forecast     # paired policy study
     python -m repro fleet search office_cohort_week \
         --grid '{"static_duty_cycle": {"rate_per_min": [2, 8, 24]}}'
@@ -242,19 +242,14 @@ def _resolve_scenario(reference: str):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.scenarios import build_simulation
-    from repro.scenarios.runner import ScenarioOutcome
+    from repro.scenarios.runner import ScenarioOutcome, lean_simulation
 
     from repro.units import SECONDS_PER_DAY
 
     spec = _resolve_scenario(args.scenario)
     # Built by hand (rather than run_scenario) so the simulation object
     # stays inspectable: the harvest-cache stats live on its harvester.
-    lean = (spec if spec.trace == "none"
-            else dataclasses.replace(spec, trace="none"))
-    sim = build_simulation(lean)
+    sim = lean_simulation(spec)
     outcome = ScenarioOutcome.from_result(spec.name, sim.run())
     stats = getattr(sim.harvester, "stats", None)
     cache = (None if stats is None else {
@@ -626,56 +621,32 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
               f"{result.wall_time_s:.2f} s wall time")
         return 0
 
-    if args.fleet_command == "search":
-        # fleet search: every grid candidate against one sampled
-        # population, ranked by the comparison ordering.
-        from repro.policies import PolicyGrid, default_policy_names
+    # fleet search: every candidate policy against one sampled
+    # population (paired), ranked by fraction energy-neutral, then
+    # p5 final SoC, then median detections/day.
+    from repro.policies import PolicyGrid, default_policy_names
 
-        grids = _parse_policy_grids(args.grid, args.policy)
-        if not grids:
-            # No selection: every default-buildable policy competes.
-            grids = [PolicyGrid(name) for name in default_policy_names()]
-        result = runner.run_grid(fleet, grids)
-        if args.json:
-            _print_json({"spec": fleet.to_dict(),
-                         "search": result.to_dict()})
-            return 0
-        print(f"Fleet policy search: {fleet.name} — {fleet.n_wearers} "
-              f"wearer(s) x {fleet.horizon_days} day(s), "
-              f"{len(result.entries)} candidate(s), "
-              f"{len(result.policy_names)} policy(ies), {result.backend} "
-              f"backend, {result.wall_time_s:.2f} s")
-        print(result.format_table())
-        best = result.best
-        print(f"best: {best.label} "
-              f"({100 * best.result.fraction_energy_neutral:.0f}% "
-              f"energy-neutral, p5 final SoC "
-              f"{100 * best.result.final_soc.p5:.1f}%, median "
-              f"{best.result.detections_per_day.p50:.0f} detections/day)")
-        return 0
-
-    # fleet compare: the same sampled population under each policy.
-    from repro.policies import default_policy_names
-    from repro.scenarios.spec import PolicySpec
-
-    names = list(args.policy or ())
-    if not names:
+    grids = _parse_policy_grids(args.grid, args.policy)
+    if not grids:
         # No selection: every default-buildable policy competes.
-        names = default_policy_names()
-    comparison = runner.compare(fleet, [PolicySpec(name) for name in names])
+        grids = [PolicyGrid(name) for name in default_policy_names()]
+    result = runner.run_grid(fleet, grids)
     if args.json:
         _print_json({"spec": fleet.to_dict(),
-                     "comparison": comparison.to_dict()})
+                     "search": result.to_dict()})
         return 0
-    print(f"Fleet policy comparison: {fleet.name} — {fleet.n_wearers} "
+    print(f"Fleet policy search: {fleet.name} — {fleet.n_wearers} "
           f"wearer(s) x {fleet.horizon_days} day(s), "
-          f"{len(comparison.entries)} policy(ies), {comparison.backend} "
-          f"backend, {comparison.wall_time_s:.2f} s")
-    print(comparison.format_table())
-    best = comparison.best
+          f"{len(result.entries)} candidate(s), "
+          f"{len(result.policy_names)} policy(ies), {result.backend} "
+          f"backend, {result.wall_time_s:.2f} s")
+    print(result.format_table())
+    best = result.best
     print(f"best: {best.label} "
-          f"(p5 final SoC {100 * best.result.final_soc.p5:.1f}%, "
-          f"median {best.result.detections_per_day.p50:.0f} detections/day)")
+          f"({100 * best.result.fraction_energy_neutral:.0f}% "
+          f"energy-neutral, p5 final SoC "
+          f"{100 * best.result.final_soc.p5:.1f}%, median "
+          f"{best.result.detections_per_day.p50:.0f} detections/day)")
     return 0
 
 
@@ -970,25 +941,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="FILE",
         help="write the JSON payload to FILE instead of stdout")
 
-    p_fleet_compare = fleet_sub.add_parser(
-        "compare", help="rerun one sampled population under several "
-                        "policies (ranked by fraction energy-neutral, "
-                        "then p5 final SoC, then median detections/day)")
-    _fleet_common(p_fleet_compare)
-    p_fleet_compare.add_argument(
-        "--policy", action="append", metavar="NAME",
-        help="registered policy to include at default params "
-             "(repeatable; default: every registered policy)")
-
     p_fleet_search = fleet_sub.add_parser(
-        "search", help="grid-search power policies over one sampled "
-                       "population (paired across candidates, same "
-                       "ranking as compare)")
+        "search", help="rerun one sampled population under several "
+                       "policies or a policy grid (ranked by fraction "
+                       "energy-neutral, then p5 final SoC, then median "
+                       "detections/day)")
     _fleet_common(p_fleet_search)
     p_fleet_search.add_argument(
         "--policy", action="append", metavar="NAME",
         help="registered policy to include at default params "
-             "(repeatable)")
+             "(repeatable; with neither --policy nor --grid every "
+             "default-buildable policy competes)")
     p_fleet_search.add_argument(
         "--grid", metavar="JSON",
         help="JSON object: policy name -> {param: [values, ...]} axes "

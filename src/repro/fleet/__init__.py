@@ -14,9 +14,8 @@ them to population statistics.
   generation (``random.Random(seed + index)``, sampled before any
   fan-out);
 * :mod:`repro.fleet.runner` — :class:`FleetRunner` over the
-  serial/process/vector backends, the paired policy comparison
-  :meth:`FleetRunner.compare`, the fleet-level policy grid search
-  :meth:`FleetRunner.run_grid`, and sharded execution
+  serial/process/vector backends, the paired fleet-level policy
+  study :meth:`FleetRunner.run_grid`, and sharded execution
   (``run(fleet, shard=(i, N))``);
 * :mod:`repro.fleet.vector` — the ``backend="vector"`` array engine:
   all wearers stepped simultaneously as numpy vectors,
@@ -33,8 +32,8 @@ them to population statistics.
   orchestration with per-shard timeout, bounded retry with backoff,
   and crash-safe resume (:func:`orchestrate`).
 
-CLI: ``repro fleet list | run [--shard I/N] | compare | search |
-merge | orchestrate`` — see ``docs/cli.md``.
+CLI: ``repro fleet list | run [--shard I/N] | search | merge |
+orchestrate`` — see ``docs/cli.md``.
 """
 
 from repro.fleet.spec import FleetSpec, SamplerSpec, load_fleet_file
@@ -61,10 +60,8 @@ from repro.fleet.result import (
 from repro.fleet.runner import (
     BACKENDS,
     ComparisonEntry,
-    FleetComparison,
     FleetGridResult,
     FleetRunner,
-    run_fleet,
 )
 from repro.fleet.vector import (
     batchable,
@@ -104,10 +101,8 @@ __all__ = [
     "percentile",
     "BACKENDS",
     "ComparisonEntry",
-    "FleetComparison",
     "FleetGridResult",
     "FleetRunner",
-    "run_fleet",
     "batchable",
     "run_batch_vector",
     "simulate_specs_vector",

@@ -17,15 +17,13 @@ executor, fleets can run on the fleet-only ``"vector"`` backend
 it steps the whole population as numpy arrays and reproduces the
 scalar engine's payload bitwise.
 
-:meth:`FleetRunner.compare` reruns the *same sampled population* under
-candidate power policies (every wearer's environment is held fixed
-while the policy varies — a paired experiment), returning a
-:class:`FleetComparison` ranked by survival first: fraction of wearers
-that finished energy-neutral, then p5 final state of charge, then
-median detections per day.  :meth:`FleetRunner.run_grid` lifts the
-scenario-level policy grid search to the population: every
-:class:`~repro.policies.grid.PolicyGrid` candidate is evaluated
-against the same sampled wearers and ranked by the same ordering.
+:meth:`FleetRunner.run_grid` is the one policy study: it reruns the
+*same sampled population* under every
+:class:`~repro.policies.grid.PolicyGrid` candidate (every wearer's
+environment is held fixed while the policy varies — a paired
+experiment), returning a :class:`FleetGridResult` ranked by survival
+first: fraction of wearers that finished energy-neutral, then p5
+final state of charge, then median detections per day.
 
 Sharded execution splits one fleet across machines:
 ``run(fleet, shard=(i, N))`` materializes only the wearers shard ``i``
@@ -47,15 +45,14 @@ from repro.fleet.population import (wearer_name, wearer_scenarios,
 from repro.fleet.result import FleetResult, PartialFleetResult, WearerRecord
 from repro.fleet.spec import FleetSpec
 from repro.fleet.vector import run_batch_vector
-from repro.policies.grid import PolicyGrid, expand_grids, policy_label
+from repro.policies.grid import PolicyGrid, expand_grids
 from repro.pool import BACKENDS as POOL_BACKENDS
 from repro.pool import check_backend, check_workers, execute
 from repro.scenarios.runner import ScenarioOutcome, SweepResult
-from repro.scenarios.spec import PolicySpec, ScenarioSpec, canonical_json
+from repro.scenarios.spec import PolicySpec, ScenarioSpec
 from repro.shard import members
 
-__all__ = ["BACKENDS", "FleetRunner", "ComparisonEntry", "FleetComparison",
-           "FleetGridResult", "run_fleet"]
+__all__ = ["BACKENDS", "FleetRunner", "ComparisonEntry", "FleetGridResult"]
 
 #: Every backend a fleet study can run on: the executor's backends
 #: plus the fleet-only ``"vector"`` array engine
@@ -89,12 +86,18 @@ class ComparisonEntry:
 
 
 @dataclass(frozen=True)
-class FleetComparison:
-    """Outcome of a policy comparison over one sampled population.
+class FleetGridResult:
+    """Outcome of a policy study over one sampled population.
+
+    The fleet-level sibling of
+    :class:`~repro.policies.grid.GridResult`: every candidate was
+    evaluated against the *same* sampled wearer population (a paired
+    experiment), and entries rank by fraction energy-neutral, then p5
+    final SoC, then median detections/day.
 
     Attributes:
-        fleet: the compared fleet's name.
-        entries: one entry per candidate policy, in input order.
+        fleet: the studied fleet's name.
+        entries: one entry per candidate, in grid order.
         backend: the sweep backend that executed the runs.
         wall_time_s: wall-clock spent across all candidates.
     """
@@ -103,9 +106,6 @@ class FleetComparison:
     entries: tuple[ComparisonEntry, ...]
     backend: str = ""
     wall_time_s: float = 0.0
-
-    #: What an empty result calls itself in error messages.
-    _what = "fleet comparison"
 
     def ranked(self) -> list[ComparisonEntry]:
         """Entries best-first: fraction energy-neutral, then p5 final
@@ -116,7 +116,7 @@ class FleetComparison:
     def best(self) -> ComparisonEntry:
         """The top-ranked candidate."""
         if not self.entries:
-            raise SpecError(f"empty {self._what} has no best entry")
+            raise SpecError("empty fleet grid result has no best entry")
         return self.ranked()[0]
 
     @property
@@ -148,23 +148,6 @@ class FleetComparison:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class FleetGridResult(FleetComparison):
-    """Outcome of a policy grid search over one sampled population.
-
-    The fleet-level sibling of
-    :class:`~repro.policies.grid.GridResult`, and structurally a
-    :class:`FleetComparison` (same entries, ranking, canonical
-    payload): every grid candidate was evaluated against the *same*
-    sampled wearer population (a paired experiment), and entries rank
-    by the comparison ordering — fraction energy-neutral, then p5
-    final SoC, then median detections/day.  ``entries`` arrive in grid
-    order (one per expanded grid point).
-    """
-
-    _what = "fleet grid result"
-
-
 class FleetRunner:
     """Executes fleet studies, optionally in parallel.
 
@@ -187,24 +170,19 @@ class FleetRunner:
 
     def _sweep_wearers(self, fleet: FleetSpec, indices: Sequence[int],
                        policy: PolicySpec | None,
-                       workers: int | None,
-                       backend: str | None,
                        specs: Sequence[ScenarioSpec] | None = None,
                        ) -> SweepResult:
         """Sweep the given wearers (the dispatch point).
 
-        ``backend=None`` means the runner's own.  ``"vector"`` routes
-        the materialized wearer scenarios (``specs`` when the caller
-        already built them) to
+        ``"vector"`` routes the materialized wearer scenarios
+        (``specs`` when the caller already built them) to
         :func:`~repro.fleet.vector.run_batch_vector`; every other
         backend goes through :func:`repro.pool.execute`, which ships
         the fleet spec plus bare wearer indices and lets the
         ``"fleet"`` chunk handler materialize each wearer where it
         runs.
         """
-        chosen = check_backend(self.backend if backend is None else backend,
-                               BACKENDS)
-        if chosen == "vector":
+        if self.backend == "vector":
             if specs is None:
                 specs = wearer_scenarios(fleet, indices)
             return run_batch_vector(with_policy(specs, policy))
@@ -214,8 +192,8 @@ class FleetRunner:
         if policy is not None:
             context["policy"] = policy.to_dict()
         results, used = execute(
-            "fleet", context, indices, backend=chosen,
-            workers=self.workers if workers is None else workers,
+            "fleet", context, indices, backend=self.backend,
+            workers=self.workers,
             name_of=lambda i: wearer_name(fleet, indices[i]))
         return SweepResult(
             outcomes=tuple(ScenarioOutcome.from_dict(payload)
@@ -223,8 +201,6 @@ class FleetRunner:
             backend=used, wall_time_s=time.perf_counter() - started)
 
     def run(self, fleet: FleetSpec,
-            workers: int | None = None,
-            backend: str | None = None,
             shard: tuple[int, int] | None = None,
             ) -> FleetResult | PartialFleetResult:
         """Sample, sweep and reduce one fleet — whole or one shard.
@@ -242,13 +218,12 @@ class FleetRunner:
         bitwise — run shards on as many machines as you like.
         """
         if shard is None:
-            sweep = self._sweep_wearers(fleet, range(fleet.n_wearers),
-                                        None, workers, backend)
+            sweep = self._sweep_wearers(fleet, range(fleet.n_wearers), None)
             return FleetResult.from_outcomes(fleet, sweep.outcomes,
                                              backend=sweep.backend,
                                              wall_time_s=sweep.wall_time_s)
         indices = members(fleet.n_wearers, shard)
-        sweep = self._sweep_wearers(fleet, indices, None, workers, backend)
+        sweep = self._sweep_wearers(fleet, indices, None)
         records = tuple(
             WearerRecord.from_outcome(index, outcome)
             for index, outcome in zip(indices, sweep.outcomes))
@@ -261,33 +236,43 @@ class FleetRunner:
             wall_time_s=sweep.wall_time_s,
         )
 
-    def _run_candidates(self, fleet: FleetSpec,
-                        candidates: Sequence[tuple[str, PolicySpec]],
-                        workers: int | None,
-                        backend: str | None,
-                        ) -> tuple[tuple[ComparisonEntry, ...], str, float]:
-        """Rerun one sampled population under each labelled candidate.
+    def run_grid(self, fleet: FleetSpec,
+                 grids: PolicyGrid | Iterable[PolicyGrid],
+                 ) -> FleetGridResult:
+        """Rerun one sampled population under every grid candidate.
 
-        The paired-experiment core shared by :meth:`compare` and
-        :meth:`run_grid`: every candidate sees exactly the same wearer
-        environments with only ``system.policy`` replaced per wearer
-        scenario.  The vector engine samples the population once and
-        reruns it per candidate; every other backend resamples it for
-        each candidate in the ``"fleet"`` chunk handler, which yields
-        the same environments because wearer sampling is a pure
-        function of ``seed + index``.
+        Every candidate of every
+        :class:`~repro.policies.grid.PolicyGrid` sees exactly the same
+        wearer environments with only ``system.policy`` replaced per
+        wearer scenario (a paired experiment), and the entries rank by
+        fraction energy-neutral, then p5 final SoC, then median
+        detections/day.  To compare registered policies at their
+        defaults, pass one ``PolicyGrid(name)`` per policy.  The
+        vector engine samples the population once and reruns it per
+        candidate; every other backend resamples it for each candidate
+        in the ``"fleet"`` chunk handler, which yields the same
+        environments because wearer sampling is a pure function of
+        ``seed + index``.
+
+        Args:
+            fleet: the population description.
+            grids: a :class:`PolicyGrid` or an iterable of them (one
+                per policy family); duplicate (name, params) candidates
+                across all grids are rejected.
+
+        Returns:
+            A :class:`FleetGridResult` whose canonical payload
+            (:meth:`~FleetGridResult.to_dict`) is a pure function of
+            the fleet spec and the grids — identical on every backend.
         """
-        chosen = check_backend(self.backend if backend is None else backend,
-                               BACKENDS)
-        # The vector engine needs the materialized population; sample
-        # it once and rerun it under each candidate.
-        specs = wearer_scenarios(fleet) if chosen == "vector" else None
+        candidates = expand_grids(grids)
+        specs = wearer_scenarios(fleet) if self.backend == "vector" else None
         started = time.perf_counter()
         entries = []
-        used = chosen
+        used = self.backend
         for label, policy in candidates:
             sweep = self._sweep_wearers(fleet, range(fleet.n_wearers),
-                                        policy, workers, chosen, specs)
+                                        policy, specs)
             used = sweep.backend
             entries.append(ComparisonEntry(
                 label=label,
@@ -296,75 +281,9 @@ class FleetRunner:
                     fleet, sweep.outcomes, backend=sweep.backend,
                     wall_time_s=sweep.wall_time_s),
             ))
-        return tuple(entries), used, time.perf_counter() - started
-
-    def compare(self, fleet: FleetSpec,
-                policies: Sequence[PolicySpec],
-                workers: int | None = None,
-                backend: str | None = None) -> FleetComparison:
-        """Rerun one sampled population under each candidate policy.
-
-        Args:
-            fleet: the population description.
-            policies: candidate :class:`PolicySpec` values; duplicate
-                (name, params) candidates are rejected.
-            workers / backend: per-call overrides, as in :meth:`run`.
-        """
-        policies = list(policies)
-        if not policies:
-            raise SpecError("a fleet comparison needs at least one policy")
-        # Canonical JSON rather than sorted items: params may carry
-        # nested weight arrays, which are unhashable as tuples.
-        keys = [canonical_json(p.to_dict()) for p in policies]
-        if len(set(keys)) != len(keys):
-            raise SpecError("duplicate policies in fleet comparison")
-        candidates = [(policy_label(policy), policy) for policy in policies]
-        entries, used, wall_time_s = self._run_candidates(
-            fleet, candidates, workers, backend)
-        return FleetComparison(
-            fleet=fleet.name,
-            entries=entries,
-            backend=used,
-            wall_time_s=wall_time_s,
-        )
-
-    def run_grid(self, fleet: FleetSpec,
-                 grids: PolicyGrid | Iterable[PolicyGrid],
-                 workers: int | None = None,
-                 backend: str | None = None) -> FleetGridResult:
-        """Search a policy grid against one sampled population.
-
-        Every candidate of every
-        :class:`~repro.policies.grid.PolicyGrid` is evaluated against
-        the same seeded wearer population (paired across candidates,
-        like :meth:`compare`) and ranked by the comparison ordering:
-        fraction energy-neutral, then p5 final SoC, then median
-        detections/day.
-
-        Args:
-            fleet: the population description.
-            grids: a :class:`PolicyGrid` or an iterable of them (one
-                per policy family); duplicate (name, params) candidates
-                across all grids are rejected.
-            workers / backend: per-call overrides, as in :meth:`run`.
-
-        Returns:
-            A :class:`FleetGridResult` whose canonical payload
-            (:meth:`~FleetGridResult.to_dict`) is a pure function of
-            the fleet spec and the grids — identical on every backend.
-        """
-        candidates = expand_grids(grids)
-        entries, used, wall_time_s = self._run_candidates(
-            fleet, candidates, workers, backend)
         return FleetGridResult(
             fleet=fleet.name,
-            entries=entries,
+            entries=tuple(entries),
             backend=used,
-            wall_time_s=wall_time_s,
+            wall_time_s=time.perf_counter() - started,
         )
-
-
-def run_fleet(fleet: FleetSpec, workers: int = 4,
-              backend: str = "serial") -> FleetResult:
-    """One-shot convenience: ``FleetRunner(...).run(fleet)``."""
-    return FleetRunner(workers=workers, backend=backend).run(fleet)

@@ -55,7 +55,6 @@ back to the per-wearer scalar loop behind the single dispatch point in
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Sequence
 
@@ -64,8 +63,9 @@ import numpy as np
 from repro.core.simulation import SimulationResult, step_grid
 from repro.errors import PowerModelError, SimulationError, SpecError
 from repro.power.battery import _OCV_SOC_GRID, _OCV_VOLTS, LiPoBattery
-from repro.scenarios.builder import build_simulation, build_timeline
-from repro.scenarios.runner import ScenarioOutcome, SweepResult
+from repro.scenarios.builder import build_timeline
+from repro.scenarios.runner import (ScenarioOutcome, SweepResult,
+                                   lean_simulation)
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
@@ -116,16 +116,9 @@ def batchable(specs: Sequence[ScenarioSpec], sim=None) -> bool:
     if specs[0].duration_s is None or not _uniform(specs):
         return False
     if sim is None:
-        sim = build_simulation(dataclasses.replace(specs[0], trace="none"))
+        sim = lean_simulation(specs[0])
     return (type(sim.battery) is LiPoBattery
             and callable(getattr(sim.policy, "decide_batch", None)))
-
-
-def _run_scalar(spec: ScenarioSpec) -> SimulationResult:
-    """One wearer through the scalar oracle (the fallback unit)."""
-    lean = (spec if spec.trace == "none"
-            else dataclasses.replace(spec, trace="none"))
-    return build_simulation(lean).run()
 
 
 def simulate_specs_vector(specs: Sequence[ScenarioSpec],
@@ -146,9 +139,9 @@ def simulate_specs_vector(specs: Sequence[ScenarioSpec],
         return []
     if chunk < 1:
         raise SpecError(f"chunk must be at least 1, got {chunk!r}")
-    sim = build_simulation(dataclasses.replace(specs[0], trace="none"))
+    sim = lean_simulation(specs[0])
     if not batchable(specs, sim):
-        return [_run_scalar(spec) for spec in specs]
+        return [lean_simulation(spec).run() for spec in specs]
     results: list[SimulationResult] = []
     for start in range(0, len(specs), chunk):
         results.extend(_simulate_chunk(specs[start:start + chunk], sim))

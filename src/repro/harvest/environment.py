@@ -9,6 +9,7 @@ simulation.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -43,6 +44,9 @@ class LightingCondition:
     description: str = ""
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.lux):
+            raise HarvestModelError(f"illuminance lux must be finite: "
+                                    f"{self.lux}")
         if self.lux < 0:
             raise HarvestModelError(f"illuminance cannot be negative: {self.lux}")
 
@@ -64,6 +68,11 @@ class ThermalCondition:
     description: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("ambient_c", "skin_c", "wind_ms"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise HarvestModelError(
+                    f"thermal {name} must be finite: {value}")
         if self.wind_ms < 0:
             raise HarvestModelError(f"wind speed cannot be negative: {self.wind_ms}")
 

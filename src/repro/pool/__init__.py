@@ -216,7 +216,6 @@ class WorkerPool:
         self._chunks = 0
         self._tasks = 0
         self._crashes = 0
-        self._known_pids: set[int] = set()
         self._last_batch_pids: frozenset[int] = frozenset()
 
     # -- lifecycle ----------------------------------------------------
@@ -331,7 +330,6 @@ class WorkerPool:
             self._batches += 1
             self._chunks += count
             self._tasks += len(items)
-            self._known_pids |= batch_pids
             self._last_batch_pids = frozenset(batch_pids)
         return results
 
@@ -350,12 +348,6 @@ class WorkerPool:
                 tasks=self._tasks,
                 crashes=self._crashes,
             )
-
-    @property
-    def known_pids(self) -> frozenset[int]:
-        """Every worker PID ever observed on this pool."""
-        with self._lock:
-            return frozenset(self._known_pids)
 
     @property
     def last_batch_pids(self) -> frozenset[int]:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.core.simulation import SimulationResult
+from repro.core.simulation import DaySimulation, SimulationResult
 from repro.errors import SpecError
 from repro.pool import check_backend, check_workers, execute
 from repro.pool.worker import crash_hook
@@ -47,9 +47,9 @@ from repro.scenarios.builder import build_simulation
 from repro.scenarios.spec import ScenarioSpec, check_mapping_keys
 from repro.units import SECONDS_PER_DAY
 
-__all__ = ["ScenarioOutcome", "SweepResult", "run_scenario",
-           "run_scenario_chunk", "spec_delta", "apply_spec_delta",
-           "ScenarioRunner"]
+__all__ = ["ScenarioOutcome", "SweepResult", "lean_simulation",
+           "run_scenario", "run_scenario_chunk", "spec_delta",
+           "apply_spec_delta", "ScenarioRunner"]
 
 
 @dataclass(frozen=True)
@@ -186,19 +186,24 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
-    """Build and run one scenario, returning its summary outcome.
+def lean_simulation(spec: ScenarioSpec) -> DaySimulation:
+    """Build ``spec`` as a simulation that keeps no per-step trace.
 
-    The outcome reads only the run's exact totals, so the simulation
-    is forced to ``trace="none"`` regardless of the spec — a sweep
-    over long horizons allocates no per-step trace at all.  Callers
-    who want the trace should ``build_simulation(spec).run()``
-    directly.
+    Summaries read only a run's exact totals, so every summary path
+    (:func:`run_scenario`, the vector engine and its scalar fallback,
+    ``repro simulate``) builds through here with ``trace="none"``
+    forced — long horizons allocate no trace at all.  Callers who
+    want the trace should ``build_simulation(spec).run()`` directly.
     """
-    lean = (spec if spec.trace == "none"
-            else dataclasses.replace(spec, trace="none"))
-    result = build_simulation(lean).run()
-    return ScenarioOutcome.from_result(spec.name, result)
+    if spec.trace != "none":
+        spec = dataclasses.replace(spec, trace="none")
+    return build_simulation(spec)
+
+
+def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
+    """Build and run one scenario lean, returning its summary outcome."""
+    return ScenarioOutcome.from_result(spec.name,
+                                       lean_simulation(spec).run())
 
 
 def spec_delta(base: Mapping[str, Any],
@@ -260,8 +265,8 @@ class ScenarioRunner:
     """Executes scenario batches, optionally in parallel.
 
     Args:
-        workers: default worker count for :meth:`run_batch`; ``1``
-            runs in the calling process whatever the backend.
+        workers: worker count for every batch; ``1`` runs in the
+            calling process whatever the backend.
         backend: ``"serial"`` (default) or ``"process"`` — see the
             module docstring for the process backend's
             registry-visibility contract.
@@ -271,13 +276,7 @@ class ScenarioRunner:
         self.workers = check_workers(workers)
         self.backend = check_backend(backend)
 
-    def run(self, spec: ScenarioSpec) -> ScenarioOutcome:
-        """Run a single scenario."""
-        return run_scenario(spec)
-
-    def run_batch(self, specs: Iterable[ScenarioSpec],
-                  workers: int | None = None,
-                  backend: str | None = None) -> SweepResult:
+    def run_batch(self, specs: Iterable[ScenarioSpec]) -> SweepResult:
         """Run every scenario, ``workers`` at a time, preserving order.
 
         The first spec is the chunk broadcast; every spec ships as a
@@ -293,26 +292,22 @@ class ScenarioRunner:
         items = [spec_delta(base, spec.to_dict()) for spec in specs]
         results, used = execute(
             "scenarios", {"base": base}, items,
-            backend=self.backend if backend is None else backend,
-            workers=self.workers if workers is None else workers,
+            backend=self.backend, workers=self.workers,
             name_of=names.__getitem__)
         return SweepResult(
             outcomes=tuple(ScenarioOutcome.from_dict(payload)
                            for payload in results),
             backend=used, wall_time_s=time.perf_counter() - started)
 
-    def run_grid(self, scenario: ScenarioSpec, grid,
-                 workers: int | None = None,
-                 backend: str | None = None) -> "GridResult":
+    def run_grid(self, scenario: ScenarioSpec, grid) -> "GridResult":
         """Run ``scenario`` under every point of a policy grid.
 
         Args:
             scenario: the scenario to hold fixed while policies vary.
             grid: a :class:`~repro.policies.grid.PolicyGrid` or an
-                iterable of them (one per policy family to compare).
-            workers / backend: as in :meth:`run_batch` — grid points
-                are independent scenarios, so they sweep on any
-                backend, including the process pool.
+                iterable of them (one per policy family to compare);
+                grid points are independent scenarios, so they sweep
+                on any backend, including the process pool.
 
         Returns:
             A ranked :class:`~repro.policies.grid.GridResult`.
@@ -329,7 +324,7 @@ class ScenarioRunner:
             )
             for label, point in candidates
         ]
-        sweep = self.run_batch(variants, workers=workers, backend=backend)
+        sweep = self.run_batch(variants)
         entries = tuple(
             GridEntry(label=label, policy=point, outcome=outcome)
             for (label, point), outcome in zip(candidates, sweep.outcomes)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
@@ -154,6 +155,11 @@ class SegmentSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("duration_s", "lux", "ambient_c", "skin_c", "wind_ms"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise SpecError(f"segment {name} must be finite, "
+                                f"got {value!r}")
         if self.duration_s <= 0:
             raise SpecError("segment duration must be positive")
         if self.lux < 0:

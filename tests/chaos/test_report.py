@@ -6,6 +6,7 @@ import pytest
 
 from repro.chaos import (
     ChaosAxisSpec,
+    ChaosRunner,
     ChaosSpec,
     JudgeRulesSpec,
     format_report,
@@ -13,7 +14,6 @@ from repro.chaos import (
     judge_scenario,
     promote_failures,
     promotion_name,
-    run_campaign,
 )
 from repro.errors import SpecError
 from repro.scenarios.spec import PolicySpec, ScenarioSpec, canonical_json
@@ -31,7 +31,7 @@ POLICIES_2 = (PolicySpec("static_duty_cycle"), PolicySpec("energy_aware"))
 
 @pytest.fixture(scope="module")
 def harsh_result():
-    return run_campaign(HARSH, workers=2, policies=POLICIES_2)
+    return ChaosRunner(workers=2).run(HARSH, policies=POLICIES_2)
 
 
 class TestInterestingFailures:
@@ -107,5 +107,5 @@ class TestFormatReport:
             axes=(ChaosAxisSpec("polar_winter",
                                 {"min_scale": 0.99,
                                  "max_scale": 1.0}),))
-        result = run_campaign(calm, policies=POLICIES_2)
+        result = ChaosRunner().run(calm, policies=POLICIES_2)
         assert "every run passed" in format_report(result)

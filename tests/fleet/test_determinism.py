@@ -10,7 +10,7 @@ divergence here is a real ordering/serialization bug.
 
 import json
 
-from repro.fleet import FleetSpec, SamplerSpec, run_fleet, wearer_scenarios
+from repro.fleet import FleetRunner, FleetSpec, SamplerSpec, wearer_scenarios
 
 FLEET = FleetSpec(name="determinism", base_scenario="sunny_office_worker",
                   n_wearers=5, horizon_days=2, seed=123,
@@ -18,16 +18,16 @@ FLEET = FleetSpec(name="determinism", base_scenario="sunny_office_worker",
 
 
 def test_repeated_runs_identical_in_process():
-    payloads = {json.dumps(run_fleet(FLEET, backend="serial").to_dict())
-                for _ in range(2)}
+    runner = FleetRunner(backend="serial")
+    payloads = {json.dumps(runner.run(FLEET).to_dict()) for _ in range(2)}
     assert len(payloads) == 1
 
 
 def test_process_matches_serial_bitwise():
     """Spawned workers rebuild every wearer from JSON; the canonical
     payload must still match the serial run byte for byte."""
-    serial = run_fleet(FLEET, workers=1, backend="serial")
-    process = run_fleet(FLEET, workers=2, backend="process")
+    serial = FleetRunner(workers=1, backend="serial").run(FLEET)
+    process = FleetRunner(workers=2, backend="process").run(FLEET)
     assert json.dumps(serial.to_dict()) == json.dumps(process.to_dict())
 
 

@@ -2,9 +2,9 @@
 
 :meth:`FleetRunner.run_grid` evaluates every grid candidate against
 one seeded sampled population — the acceptance property is that its
-ranking is exactly what a brute-force :meth:`FleetRunner.compare` over
-the same candidate list produces (same paired population, same
-ordering: fraction energy-neutral, then p5 final SoC, then median
+ranking is exactly what a brute-force per-candidate scenario sweep of
+the same population produces (same paired population, same ordering:
+fraction energy-neutral, then p5 final SoC, then median
 detections/day), and that the canonical payload is backend-invariant.
 """
 
@@ -13,9 +13,12 @@ import json
 import pytest
 
 from repro.errors import SpecError
-from repro.fleet import FleetRunner, FleetSpec, SamplerSpec
+from repro.fleet import (FleetResult, FleetRunner, FleetSpec, SamplerSpec,
+                         wearer_scenarios)
+from repro.fleet.population import with_policy
 from repro.policies import PolicyGrid
 from repro.policies.grid import expand_grids
+from repro.scenarios import ScenarioRunner
 
 SMALL = FleetSpec(name="grid_small", base_scenario="sunny_office_worker",
                   n_wearers=4, horizon_days=1, seed=21,
@@ -43,18 +46,27 @@ class TestRunGrid:
             sorted(e.rank_key for e in result.entries)
         assert result.best.label == ranked[0].label
 
-    def test_matches_brute_force_compare(self):
-        """The grid search is compare over the expanded candidate
-        list: identical entries, identical ranking, identical best."""
-        runner = FleetRunner(workers=1, backend="serial")
-        result = runner.run_grid(SMALL, GRIDS)
-        points = [point for _, point in expand_grids(GRIDS)]
-        comparison = runner.compare(SMALL, points)
-        assert [e.label for e in result.ranked()] == \
-            [e.label for e in comparison.ranked()]
-        assert result.best.label == comparison.best.label
+    def test_matches_brute_force_reference(self):
+        """The grid search is one plain scenario sweep of the sampled
+        population per expanded candidate, reduced and ranked: same
+        per-candidate results, same ranking, same best."""
+        result = FleetRunner(workers=1, backend="serial").run_grid(
+            SMALL, GRIDS)
+        population = wearer_scenarios(SMALL)
+        reference = {}
+        for label, point in expand_grids(GRIDS):
+            sweep = ScenarioRunner().run_batch(
+                with_policy(population, point))
+            reference[label] = FleetResult.from_outcomes(
+                SMALL, sweep.outcomes).to_dict()
+        expected = sorted(reference, key=lambda label: (
+            -reference[label]["fraction_energy_neutral"],
+            -reference[label]["final_soc"]["p5"],
+            -reference[label]["detections_per_day"]["p50"]))
+        assert [e.label for e in result.ranked()] == expected
+        assert result.best.label == expected[0]
         assert [e.result.to_dict() for e in result.ranked()] == \
-            [e.result.to_dict() for e in comparison.ranked()]
+            [reference[label] for label in expected]
 
     def test_paired_population(self):
         """Every candidate saw the same sampled wearers, and the

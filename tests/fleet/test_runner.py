@@ -1,4 +1,4 @@
-"""FleetRunner: backend equality, paired comparisons, the library."""
+"""FleetRunner: backend equality, paired policy comparisons, the library."""
 
 import json
 
@@ -12,11 +12,10 @@ from repro.fleet import (
     all_fleets,
     fleet_names,
     get_fleet,
-    run_fleet,
     wearer_scenarios,
 )
+from repro.policies import PolicyGrid
 from repro.scenarios import get_scenario
-from repro.scenarios.spec import PolicySpec
 
 SMALL = FleetSpec(name="small", base_scenario="sunny_office_worker",
                   n_wearers=4, horizon_days=2, seed=5,
@@ -25,12 +24,12 @@ SMALL = FleetSpec(name="small", base_scenario="sunny_office_worker",
 
 class TestRun:
     def test_two_runs_bitwise_identical(self):
-        first = run_fleet(SMALL, workers=2, backend="process")
-        second = run_fleet(SMALL, workers=1, backend="serial")
+        first = FleetRunner(workers=2, backend="process").run(SMALL)
+        second = FleetRunner(workers=1, backend="serial").run(SMALL)
         assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
 
     def test_result_shape(self):
-        result = run_fleet(SMALL, workers=2)
+        result = FleetRunner(workers=2).run(SMALL)
         assert result.fleet == "small"
         assert result.n_wearers == 4
         assert 0.0 <= result.fraction_energy_neutral <= 1.0
@@ -39,7 +38,7 @@ class TestRun:
 
     def test_identity_fleet_collapses_to_base(self):
         fleet = SMALL.replace(sampler=SamplerSpec("identity"))
-        result = run_fleet(fleet, backend="serial")
+        result = FleetRunner(backend="serial").run(fleet)
         # Every wearer relives the same tiled base day, so the
         # population distribution is a point mass.
         assert result.final_soc.p5 == result.final_soc.p95
@@ -52,8 +51,7 @@ class TestRun:
     def test_unknown_backend_error_lists_every_backend(self):
         """The "unknown backend" message enumerates the fleet-level
         BACKENDS tuple — the superset including "vector" — and can
-        never fall out of sync with it, on the constructor path or the
-        per-call override path."""
+        never fall out of sync with it."""
         from repro.fleet import BACKENDS
         from repro.pool import BACKENDS as POOL_BACKENDS
 
@@ -61,25 +59,22 @@ class TestRun:
         assert set(POOL_BACKENDS) < set(BACKENDS)
         with pytest.raises(SpecError) as ctor_err:
             FleetRunner(backend="gpu")
-        runner = FleetRunner(workers=1, backend="serial")
-        with pytest.raises(SpecError) as call_err:
-            runner.run(SMALL, backend="gpu")
-        for message in (str(ctor_err.value), str(call_err.value)):
-            listed = message.split("known: ", 1)[1]
-            assert listed == str(list(BACKENDS))
+        listed = str(ctor_err.value).split("known: ", 1)[1]
+        assert listed == str(list(BACKENDS))
 
     def test_vector_backend_runs(self):
-        vector = run_fleet(SMALL, backend="vector")
-        serial = run_fleet(SMALL, backend="serial")
+        vector = FleetRunner(backend="vector").run(SMALL)
+        serial = FleetRunner(backend="serial").run(SMALL)
         assert vector.backend == "vector"
         assert vector.canonical_json() == serial.canonical_json()
 
 
 class TestCompare:
     def test_paired_and_ranked(self):
-        comparison = FleetRunner(workers=2).compare(
-            SMALL, [PolicySpec("energy_aware"),
-                    PolicySpec("static_duty_cycle", {"rate_per_min": 24.0})])
+        comparison = FleetRunner(workers=2).run_grid(
+            SMALL, [PolicyGrid("energy_aware"),
+                    PolicyGrid("static_duty_cycle",
+                               base={"rate_per_min": 24.0})])
         assert comparison.fleet == "small"
         assert len(comparison.entries) == 2
         ranked = comparison.ranked()
@@ -92,28 +87,29 @@ class TestCompare:
 
     def test_policy_only_changes_policy(self):
         specs = wearer_scenarios(SMALL)
-        comparison = FleetRunner(workers=1, backend="serial").compare(
-            SMALL, [PolicySpec("energy_aware")])
+        comparison = FleetRunner(workers=1, backend="serial").run_grid(
+            SMALL, [PolicyGrid("energy_aware")])
         entry = comparison.entries[0]
         assert entry.policy.name == "energy_aware"
         # The energy_aware candidate is the base system's own policy,
         # so the paired rerun reproduces the plain fleet run exactly.
-        plain = run_fleet(SMALL, backend="serial")
+        plain = FleetRunner(backend="serial").run(SMALL)
         assert entry.result.to_dict() == plain.to_dict()
         assert [s.name for s in specs] == [
             f"small::wearer_{i:04d}" for i in range(4)]
 
     def test_empty_and_duplicate_policies_rejected(self):
         runner = FleetRunner(workers=1, backend="serial")
-        with pytest.raises(SpecError, match="at least one policy"):
-            runner.compare(SMALL, [])
+        with pytest.raises(SpecError, match="at least one grid"):
+            runner.run_grid(SMALL, [])
         with pytest.raises(SpecError, match="duplicate"):
-            runner.compare(SMALL, [PolicySpec("energy_aware"),
-                                   PolicySpec("energy_aware")])
+            runner.run_grid(SMALL, [PolicyGrid("energy_aware"),
+                                    PolicyGrid("energy_aware")])
 
     def test_to_dict_ranking_is_canonical(self):
         runner = FleetRunner(workers=1, backend="serial")
-        payload = runner.compare(SMALL, [PolicySpec("energy_aware")]).to_dict()
+        payload = runner.run_grid(SMALL,
+                                  [PolicyGrid("energy_aware")]).to_dict()
         assert set(payload) == {"fleet", "ranking"}
         assert payload["ranking"][0]["label"] == "energy_aware"
 

@@ -28,7 +28,7 @@ from repro.fleet import (
     run_batch_vector,
     wearer_scenarios,
 )
-from repro.policies import default_policy_names
+from repro.policies import PolicyGrid, default_policy_names
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import PolicySpec, canonical_json
 
@@ -59,12 +59,12 @@ def test_every_builtin_fleet(fleet_name):
 def test_every_registered_policy(policy_name):
     """Batchable policies take the array path, the rest the scalar
     fallback — either way the payload must be byte-identical (the
-    paired ``compare`` rerun swaps the policy into every wearer)."""
+    paired ``run_grid`` rerun swaps the policy into every wearer)."""
     fleet = small_fleet()
-    candidates = [PolicySpec(policy_name)]
-    scalar = FleetRunner(workers=1, backend="serial").compare(
+    candidates = [PolicyGrid(policy_name)]
+    scalar = FleetRunner(workers=1, backend="serial").run_grid(
         fleet, candidates)
-    vector = FleetRunner(backend="vector").compare(fleet, candidates)
+    vector = FleetRunner(backend="vector").run_grid(fleet, candidates)
     assert (canonical_json(vector.to_dict())
             == canonical_json(scalar.to_dict()))
 
@@ -79,10 +79,10 @@ def test_trained_policies_fall_back_bitwise(policy_name):
 
     params = network_to_params(build_network(TrainSpec(hidden=(4,), seed=2)))
     fleet = small_fleet()
-    candidates = [PolicySpec(policy_name, params)]
-    scalar = FleetRunner(workers=1, backend="serial").compare(
+    candidates = [PolicyGrid(policy_name, base=params)]
+    scalar = FleetRunner(workers=1, backend="serial").run_grid(
         fleet, candidates)
-    vector = FleetRunner(backend="vector").compare(fleet, candidates)
+    vector = FleetRunner(backend="vector").run_grid(fleet, candidates)
     specs = wearer_scenarios(fleet)
     unbatchable = [
         dataclasses.replace(

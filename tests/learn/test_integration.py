@@ -5,7 +5,7 @@ must travel everywhere a spec travels: across the process backend's
 pickle boundary, and through a chaos campaign.
 """
 
-from repro.chaos import ChaosSpec, run_campaign
+from repro.chaos import ChaosRunner, ChaosSpec
 from repro.fleet import FleetRunner, FleetSpec
 from repro.policies.grid import PolicyGrid
 from repro.scenarios.spec import PolicySpec, canonical_json
@@ -32,7 +32,7 @@ class TestChaosCampaign:
         spec = ChaosSpec(name="learned_case", n_cases=2, horizon_days=1,
                          seed=4)
         policies = (PolicySpec("static_duty_cycle"), trained.policy)
-        result = run_campaign(spec, workers=2, policies=policies)
+        result = ChaosRunner(workers=2).run(spec, policies=policies)
         assert len(result.records) == 2 * 2
         learned_records = [r for r in result.records
                            if r.policy.name == "learned"]

@@ -170,8 +170,6 @@ class TestProcessBackend:
     def test_unknown_backend_rejected(self):
         with pytest.raises(SpecError, match="backend"):
             ScenarioRunner(backend="gpu")
-        with pytest.raises(SpecError, match="backend"):
-            ScenarioRunner().run_batch([], backend="quantum")
 
     def test_outcome_dict_round_trip_is_exact(self):
         outcome = run_scenario(get_scenario("night_shift"))

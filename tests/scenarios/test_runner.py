@@ -39,9 +39,10 @@ class TestRunBatch:
         sweep = ScenarioRunner(workers=1).run_batch(batch_specs[:2])
         assert [o.name for o in sweep.outcomes] == BATCH_NAMES[:2]
 
-    def test_workers_override_per_call(self, batch_specs):
-        runner = ScenarioRunner(workers=1)
-        sweep = runner.run_batch(batch_specs[:2], workers=2)
+    def test_workers_set_on_constructor(self, batch_specs):
+        runner = ScenarioRunner(workers=2)
+        sweep = runner.run_batch(batch_specs[:2])
+        assert runner.workers == 2
         assert len(sweep.outcomes) == 2
 
     def test_duplicate_names_rejected(self, batch_specs):
@@ -51,8 +52,6 @@ class TestRunBatch:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(SpecError):
             ScenarioRunner(workers=0)
-        with pytest.raises(SpecError):
-            ScenarioRunner().run_batch([], workers=0)
 
     def test_empty_batch_is_empty_sweep(self):
         sweep = ScenarioRunner().run_batch([])

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.errors import SpecError
+from repro.errors import HarvestModelError, SpecError
+from repro.harvest.environment import LightingCondition, ThermalCondition
 from repro.scenarios import (
     AppSpec,
     BatterySpec,
@@ -14,6 +15,10 @@ from repro.scenarios import (
     SystemSpec,
     TimelineSpec,
 )
+
+FINITE_SEGMENT = {"duration_s": 60.0, "lux": 500.0, "ambient_c": 22.0,
+                  "skin_c": 32.0, "wind_ms": 1.0}
+FINITE_THERMAL = {"ambient_c": 22.0, "skin_c": 32.0, "wind_ms": 1.0}
 
 
 def inline_scenario() -> ScenarioSpec:
@@ -87,6 +92,24 @@ class TestValidation:
         with pytest.raises(SpecError):
             SegmentSpec(duration_s=1.0, lux=0.0, ambient_c=22.0, skin_c=32.0,
                         wind_ms=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("make, kwargs, field, error", [
+        *((SegmentSpec, FINITE_SEGMENT, field, SpecError)
+          for field in FINITE_SEGMENT),
+        (LightingCondition, {"lux": 500.0}, "lux", HarvestModelError),
+        *((ThermalCondition, FINITE_THERMAL, field, HarvestModelError)
+          for field in FINITE_THERMAL),
+    ])
+    def test_non_finite_physical_input_rejected(self, make, kwargs, field,
+                                                error, value):
+        """NaN or infinite light, temperature, wind or duration would
+        otherwise run as darkness or a zero-length day; the error
+        names the field."""
+        make(**kwargs)  # the finite baseline builds
+        with pytest.raises(error, match=field):
+            make(**{**kwargs, field: value})
 
     def test_battery_soc_bounds(self):
         with pytest.raises(SpecError):

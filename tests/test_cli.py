@@ -96,6 +96,23 @@ class TestScenarioCommands:
         assert "unknown scenario" in err
         assert "paper_indoor_worst_case" in err  # suggests known names
 
+    def test_simulate_rejects_nan_scenario_file(self, tmp_path, capsys):
+        """A NaN illuminance must not run as darkness: the file is
+        refused, and the error names the field."""
+        from repro.scenarios import get_scenario
+
+        payload = get_scenario("paper_indoor_worst_case").to_dict()
+        payload["timeline"] = {"segments": [
+            {"duration_s": 86400.0, "lux": float("nan"),
+             "ambient_c": 22.0, "skin_c": 32.0}]}
+        path = tmp_path / "nan_lux.json"
+        path.write_text(json.dumps(payload))
+        assert "NaN" in path.read_text()
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "lux" in err
+
     def test_sweep_bad_worker_count_errors(self, capsys):
         assert main(["sweep", "--all", "--workers", "0"]) == 2
         assert "worker count" in capsys.readouterr().err
@@ -279,7 +296,7 @@ class TestFleetCommands:
             name="mini", n_wearers=3, horizon_days=1)
         path = tmp_path / "mini.json"
         path.write_text(json.dumps(spec.to_dict()))
-        assert main(["fleet", "compare", str(path),
+        assert main(["fleet", "search", str(path),
                      "--policy", "energy_aware",
                      "--policy", "static_duty_cycle"]) == 0
         out = capsys.readouterr().out
@@ -295,14 +312,14 @@ class TestFleetCommands:
             name="mini", n_wearers=2, horizon_days=1)
         path = tmp_path / "mini.json"
         path.write_text(json.dumps(spec.to_dict()))
-        assert main(["fleet", "compare", str(path),
+        assert main(["fleet", "search", str(path),
                      "--policy", "energy_aware", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["comparison"]["fleet"] == "mini"
-        assert payload["comparison"]["ranking"][0]["label"] == "energy_aware"
+        assert payload["search"]["fleet"] == "mini"
+        assert payload["search"]["ranking"][0]["label"] == "energy_aware"
 
     def test_fleet_compare_unknown_policy_errors(self, tmp_path, capsys):
-        assert main(["fleet", "compare", "office_cohort_week",
+        assert main(["fleet", "search", "office_cohort_week",
                      "--policy", "warp_drive"]) == 2
         err = capsys.readouterr().err
         assert "warp_drive" in err
@@ -333,13 +350,17 @@ class TestFleetSearchCommand:
         assert "ewma_forecast(alpha=0.5)" in out
         assert "best:" in out
 
-    def test_search_json_matches_brute_force_compare(self, tmp_path, capsys):
+    def test_search_json_matches_brute_force_reference(self, tmp_path,
+                                                       capsys):
         """Acceptance: the CLI's top candidate over >= 8 grid points is
-        exactly what a brute-force FleetRunner.compare over the same
-        candidate list picks."""
-        from repro.fleet import FleetRunner, load_fleet_file
+        exactly what a brute-force sweep picks: one plain scenario
+        batch of the sampled population per candidate, reduced to a
+        fleet result and ranked by the fleet ordering."""
+        from repro.fleet import FleetResult, load_fleet_file, wearer_scenarios
+        from repro.fleet.population import with_policy
         from repro.policies import PolicyGrid
         from repro.policies.grid import expand_grids
+        from repro.scenarios import ScenarioRunner
 
         path = _write_mini_fleet(tmp_path)
         assert main(["fleet", "search", str(path), "--grid", self.GRID,
@@ -352,10 +373,17 @@ class TestFleetSearchCommand:
                             axes={"rate_per_min": (2, 8, 16, 24)}),
                  PolicyGrid("ewma_forecast", axes={"alpha": (0.1, 0.3, 0.5)}),
                  PolicyGrid("energy_aware")]
-        points = [point for _, point in expand_grids(grids)]
-        brute = FleetRunner(workers=1, backend="serial").compare(
-            load_fleet_file(path), points)
-        assert ranking[0]["label"] == brute.best.label
+        fleet = load_fleet_file(path)
+        population = wearer_scenarios(fleet)
+        keys = {}
+        for label, point in expand_grids(grids):
+            sweep = ScenarioRunner().run_batch(
+                with_policy(population, point))
+            result = FleetResult.from_outcomes(fleet, sweep.outcomes)
+            keys[label] = (-result.fraction_energy_neutral,
+                           -result.final_soc.p5,
+                           -result.detections_per_day.p50)
+        assert ranking[0]["label"] == min(keys, key=keys.get)
 
     def test_search_defaults_to_whole_registry(self, tmp_path, capsys):
         path = _write_mini_fleet(tmp_path, n_wearers=2)
