@@ -920,11 +920,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend",
                        choices=["serial", "process", "vector"],
                        default="serial",
-                       help="execution backend (default serial; wearer "
-                            "scenarios are self-contained, so process "
-                            "works for every fleet, and vector steps "
-                            "the whole population as numpy arrays with "
-                            "a bitwise-identical result)")
+                       help="execution backend (default serial, the "
+                            "scalar engine; vector steps the population "
+                            "as numpy arrays in process, and process "
+                            "runs those vector lanes in pool workers; "
+                            "every backend gives a bitwise-identical "
+                            "result)")
         p.add_argument("--json", action="store_true",
                        help="emit the fleet spec and result as JSON")
 

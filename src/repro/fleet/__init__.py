@@ -11,16 +11,17 @@ them to population statistics.
   (``@register_sampler``) and built-ins (``identity``,
   ``daily_jitter``, ``cloudy_streaks``);
 * :mod:`repro.fleet.population` — deterministic per-wearer scenario
-  generation (``random.Random(seed + index)``, sampled before any
-  fan-out);
+  generation (``random.Random(seed + index)``) and the ``"fleet"``
+  chunk handler, the one place a fleet runs on either engine;
 * :mod:`repro.fleet.runner` — :class:`FleetRunner` over the
-  serial/process/vector backends, the paired fleet-level policy
-  study :meth:`FleetRunner.run_grid`, and sharded execution
+  serial/process/vector backends (one :func:`repro.pool.execute`
+  call per run, shard or grid), the paired fleet-level policy study
+  :meth:`FleetRunner.run_grid`, and sharded execution
   (``run(fleet, shard=(i, N))``);
-* :mod:`repro.fleet.vector` — the ``backend="vector"`` array engine:
-  all wearers stepped simultaneously as numpy vectors,
-  bitwise-identical to the scalar oracle (scalar fallback for
-  unbatchable policies);
+* :mod:`repro.fleet.vector` — the array engine behind the ``vector``
+  and ``process`` backends: a chunk's wearers stepped simultaneously
+  as numpy vectors, bitwise-identical to the scalar oracle (scalar
+  fallback for unbatchable policies);
 * :mod:`repro.fleet.result` — :class:`FleetResult` population
   statistics (SoC percentiles, fraction energy-neutral, downtime
   hours, detections/day distribution), plus the sharding types
@@ -65,7 +66,6 @@ from repro.fleet.runner import (
 )
 from repro.fleet.vector import (
     batchable,
-    run_batch_vector,
     simulate_specs_vector,
 )
 from repro.fleet.library import (
@@ -104,7 +104,6 @@ __all__ = [
     "FleetGridResult",
     "FleetRunner",
     "batchable",
-    "run_batch_vector",
     "simulate_specs_vector",
     "all_fleets",
     "fleet_names",

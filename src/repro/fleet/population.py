@@ -4,11 +4,11 @@ This is the deterministic heart of the fleet subsystem: every wearer's
 environment is sampled *here*, by :func:`wearer_scenarios`, from
 ``random.Random(seed + index)``, and the result is an ordinary
 self-contained :class:`~repro.scenarios.spec.ScenarioSpec` with inline
-segments.  Every backend materializes through that one function — the
-vector engine in the calling process, the serial and process backends
-inside the ``"fleet"`` chunk handler (:func:`run_wearer_chunk`) —
-which is why a fleet's outcome is bitwise-identical across
-``serial``/``process``/``vector`` and across runs.
+segments.  Every backend materializes through that one function
+inside the ``"fleet"`` chunk handler (:func:`run_wearer_chunk`), the
+one place a fleet runs on either engine — which is why a fleet's
+outcome is bitwise-identical across ``serial``/``process``/``vector``
+and across runs.
 
 The base scenario's timeline (built once) is the *template*: the
 sampler perturbs one copy per repetition until the wearer's segments
@@ -156,34 +156,44 @@ def with_policy(specs: Iterable[ScenarioSpec],
 
 
 def run_wearer_chunk(context: Mapping[str, Any],
-                     items: Sequence[int]) -> list[dict]:
-    """Pool chunk handler: wearer indices in, outcome dicts out.
+                     items: Sequence[int]) -> list[list[dict]]:
+    """Pool chunk handler: wearer indices in, per-policy outcomes out.
 
-    The fleet half of the chunked-dispatch protocol
-    (:mod:`repro.pool`): the parent broadcasts the :class:`FleetSpec`
-    dict (plus an optional replacement ``"policy"`` for paired
-    comparisons and the forwarded ``"crash"`` test hook) once per
-    chunk, and ships only wearer indices per item.  The handler
-    materializes its wearers through :func:`wearer_scenarios` from
-    ``random.Random(seed + index)`` — deterministic, so the outcomes
-    are bitwise-identical to a parent materialization — and runs them.
-    In a worker the base scenario and sampler resolve by name in a
-    fresh ``import repro``, so runtime-registered components raise the
-    process backend's usual explanatory :class:`~repro.errors.SpecError`.
-
-    Runs unchanged in-process: serial fleet batches and the
-    chunked-vs-unchunked identity tests call it directly.
+    The one place a fleet runs, on every backend.  The parent
+    broadcasts the :class:`FleetSpec` dict, the ``"policies"`` list
+    (``None`` keeps the base scenario's policy), the ``"engine"``
+    (``"scalar"`` or ``"vector"``) and the forwarded ``"crash"`` test
+    hook once per chunk, and ships only wearer indices per item.  The
+    handler samples its wearers once through :func:`wearer_scenarios`
+    — deterministic, so the outcomes are bitwise-identical to a parent
+    materialization — and runs them as one batch per policy, on
+    :func:`~repro.fleet.vector.simulate_specs_vector` or the scalar
+    oracle.  Each item's result is its wearer's outcome dicts in
+    policy order.  In a worker the base scenario and sampler resolve
+    by name in a fresh ``import repro``, so runtime-registered
+    components raise the process backend's usual explanatory
+    :class:`~repro.errors.SpecError`.
     """
-    # Deferred: repro.scenarios.runner imports stay off the fleet
-    # module's import path until a chunk actually runs.
-    from repro.scenarios.runner import run_scenario
+    # Deferred: the engines' imports stay off the fleet module's
+    # import path until a chunk actually runs.
+    from repro.fleet.vector import simulate_specs_vector
+    from repro.scenarios.runner import ScenarioOutcome, lean_simulation
 
+    vector = context["engine"] == "vector"
     fleet = FleetSpec.from_dict(context["fleet"])
-    policy = context.get("policy")
-    if policy is not None:
-        policy = PolicySpec.from_dict(policy)
-    results = []
-    for spec in with_policy(wearer_scenarios(fleet, items), policy):
+    policies = [None if policy is None else PolicySpec.from_dict(policy)
+                for policy in context["policies"]]
+    specs = wearer_scenarios(fleet, items)
+    for spec in specs:
         crash_hook(context, spec.name)
-        results.append(run_scenario(spec).to_dict())
-    return results
+    outcomes: list[list[dict]] = [[] for _ in specs]
+    for policy in policies:
+        batch = with_policy(specs, policy)
+        if vector:
+            results = simulate_specs_vector(batch)
+        else:
+            results = [lean_simulation(spec).run() for spec in batch]
+        for wearer, spec, result in zip(outcomes, batch, results):
+            wearer.append(
+                ScenarioOutcome.from_result(spec.name, result).to_dict())
+    return outcomes

@@ -1,21 +1,21 @@
 """Fan a fleet out over the sweep backends and reduce the population.
 
 :class:`FleetRunner` is a thin orchestration layer over the one
-executor :func:`repro.pool.execute`: it hands the fleet spec and the
-wearer indices to the ``"fleet"`` chunk handler
-(:func:`~repro.fleet.population.run_wearer_chunk`), which materializes
-each wearer from ``random.Random(seed + index)`` and runs it — in the
-calling process on the serial backend, inside the shared worker pool
-(:mod:`repro.pool`) on the process backend, where the fleet spec is
-broadcast once per chunk and bare indices ride as items.  The
-per-wearer outcomes reduce into a
+executor :func:`repro.pool.execute`: every run, shard and grid is one
+``execute`` call that hands the fleet spec, the policy list, the
+engine and the wearer indices to the ``"fleet"`` chunk handler
+(:func:`~repro.fleet.population.run_wearer_chunk`).  The handler
+materializes each wearer from ``random.Random(seed + index)`` and
+runs it — in the calling process on the ``serial`` and ``vector``
+backends, inside the shared worker pool (:mod:`repro.pool`) on the
+``process`` backend, where the context is broadcast once per chunk
+and bare indices ride as items.  ``serial`` runs the scalar engine,
+the oracle; ``vector`` and ``process`` run the array engine
+(:mod:`repro.fleet.vector`), which reproduces the scalar payload
+bitwise.  The per-wearer outcomes reduce into a
 :class:`~repro.fleet.result.FleetResult`.  Sampling is a pure function
 of the spec, so the result's canonical payload is identical on every
-backend — the backends only change how fast you get it.  Next to the
-executor, fleets can run on the fleet-only ``"vector"`` backend
-(:mod:`repro.fleet.vector`), which needs the materialized spec list:
-it steps the whole population as numpy arrays and reproduces the
-scalar engine's payload bitwise.
+backend — the backends only change how fast you get it.
 
 :meth:`FleetRunner.run_grid` is the one policy study: it reruns the
 *same sampled population* under every
@@ -40,25 +40,33 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.errors import SpecError
-from repro.fleet.population import (wearer_name, wearer_scenarios,
-                                    with_policy)
+from repro.fleet.population import wearer_name
 from repro.fleet.result import FleetResult, PartialFleetResult, WearerRecord
 from repro.fleet.spec import FleetSpec
-from repro.fleet.vector import run_batch_vector
 from repro.policies.grid import PolicyGrid, expand_grids
 from repro.pool import BACKENDS as POOL_BACKENDS
 from repro.pool import check_backend, check_workers, execute
-from repro.scenarios.runner import ScenarioOutcome, SweepResult
-from repro.scenarios.spec import PolicySpec, ScenarioSpec
+from repro.scenarios.runner import ScenarioOutcome
+from repro.scenarios.spec import PolicySpec
 from repro.shard import members
 
 __all__ = ["BACKENDS", "FleetRunner", "ComparisonEntry", "FleetGridResult"]
 
 #: Every backend a fleet study can run on: the executor's backends
-#: plus the fleet-only ``"vector"`` array engine
-#: (:mod:`repro.fleet.vector`).  All of them produce bitwise-identical
-#: canonical payloads; they only change how fast you get them.
+#: plus the fleet-only ``"vector"``.  All of them produce
+#: bitwise-identical canonical payloads; they only change how fast you
+#: get them.
 BACKENDS = (*POOL_BACKENDS, "vector")
+
+#: backend -> (executor backend, chunk-handler engine).  ``serial`` is
+#: the scalar oracle and never touches the array engine; ``vector``
+#: steps the population as numpy arrays in the calling process, and
+#: ``process`` runs those array lanes inside pool workers.
+_ENGINES = {
+    "serial": ("serial", "scalar"),
+    "vector": ("serial", "vector"),
+    "process": ("process", "vector"),
+}
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,8 @@ class FleetGridResult:
         fleet: the studied fleet's name.
         entries: one entry per candidate, in grid order.
         backend: the sweep backend that executed the runs.
-        wall_time_s: wall-clock spent across all candidates.
+        wall_time_s: wall-clock of the one batch that ran every
+            candidate (each entry's result records the same).
     """
 
     fleet: str
@@ -153,15 +162,14 @@ class FleetRunner:
 
     Args:
         workers: parallelism ceiling for the process backend.
-        backend: ``"serial"`` (default), ``"process"`` or
-            ``"vector"``.  On the process backend each worker samples
-            its own wearers, so a sampler registered at runtime works
-            on ``"serial"`` and ``"vector"`` only.  The process pool
-            is the right choice from roughly a hundred wearer-weeks
-            up, and the vector engine (:mod:`repro.fleet.vector`)
-            beats it by another order of magnitude on fleets whose
-            policy can batch (falling back to a serial scalar loop per
-            wearer when it cannot).
+        backend: ``"serial"`` (default: the scalar oracle in
+            process), ``"vector"`` (the array engine,
+            :mod:`repro.fleet.vector`, in process) or ``"process"``
+            (the array engine inside the shared worker pool).  The
+            array engine falls back to the scalar loop per wearer when
+            a policy cannot batch.  On the process backend each worker
+            samples its own wearers, so a sampler registered at
+            runtime works on ``"serial"`` and ``"vector"`` only.
     """
 
     def __init__(self, workers: int = 4, backend: str = "serial") -> None:
@@ -169,36 +177,34 @@ class FleetRunner:
         self.backend = check_backend(backend, BACKENDS)
 
     def _sweep_wearers(self, fleet: FleetSpec, indices: Sequence[int],
-                       policy: PolicySpec | None,
-                       specs: Sequence[ScenarioSpec] | None = None,
-                       ) -> SweepResult:
-        """Sweep the given wearers (the dispatch point).
+                       policies: Sequence[PolicySpec | None],
+                       ) -> tuple[list[tuple[ScenarioOutcome, ...]], str]:
+        """Run the given wearers under every policy in one batch.
 
-        ``"vector"`` routes the materialized wearer scenarios
-        (``specs`` when the caller already built them) to
-        :func:`~repro.fleet.vector.run_batch_vector`; every other
-        backend goes through :func:`repro.pool.execute`, which ships
-        the fleet spec plus bare wearer indices and lets the
-        ``"fleet"`` chunk handler materialize each wearer where it
-        runs.
+        The one dispatch point: a single :func:`repro.pool.execute`
+        call ships the fleet spec, the policy list and the engine, and
+        the ``"fleet"`` chunk handler samples each wearer once where it
+        runs and steps it under every policy.  Returns one outcome
+        tuple per policy (wearers in ``indices`` order) and the
+        backend provenance.
         """
-        if self.backend == "vector":
-            if specs is None:
-                specs = wearer_scenarios(fleet, indices)
-            return run_batch_vector(with_policy(specs, policy))
-        started = time.perf_counter()
+        executor, engine = _ENGINES[self.backend]
         indices = list(indices)
-        context: dict[str, Any] = {"fleet": fleet.to_dict()}
-        if policy is not None:
-            context["policy"] = policy.to_dict()
+        context = {
+            "fleet": fleet.to_dict(),
+            "policies": [None if policy is None else policy.to_dict()
+                         for policy in policies],
+            "engine": engine,
+        }
         results, used = execute(
-            "fleet", context, indices, backend=self.backend,
+            "fleet", context, indices, backend=executor,
             workers=self.workers,
             name_of=lambda i: wearer_name(fleet, indices[i]))
-        return SweepResult(
-            outcomes=tuple(ScenarioOutcome.from_dict(payload)
-                           for payload in results),
-            backend=used, wall_time_s=time.perf_counter() - started)
+        outcomes = [
+            tuple(ScenarioOutcome.from_dict(wearer[position])
+                  for wearer in results)
+            for position in range(len(policies))]
+        return outcomes, "vector" if self.backend == "vector" else used
 
     def run(self, fleet: FleetSpec,
             shard: tuple[int, int] | None = None,
@@ -217,23 +223,22 @@ class FleetRunner:
         :meth:`FleetResult.merge` reproduces the unsharded result
         bitwise — run shards on as many machines as you like.
         """
+        started = time.perf_counter()
+        indices = (range(fleet.n_wearers) if shard is None
+                   else members(fleet.n_wearers, shard))
+        (outcomes,), used = self._sweep_wearers(fleet, indices, [None])
+        wall_time_s = time.perf_counter() - started
         if shard is None:
-            sweep = self._sweep_wearers(fleet, range(fleet.n_wearers), None)
-            return FleetResult.from_outcomes(fleet, sweep.outcomes,
-                                             backend=sweep.backend,
-                                             wall_time_s=sweep.wall_time_s)
-        indices = members(fleet.n_wearers, shard)
-        sweep = self._sweep_wearers(fleet, indices, None)
-        records = tuple(
-            WearerRecord.from_outcome(index, outcome)
-            for index, outcome in zip(indices, sweep.outcomes))
+            return FleetResult.from_outcomes(fleet, outcomes, backend=used,
+                                             wall_time_s=wall_time_s)
         return PartialFleetResult(
             spec=fleet,
             shard_index=shard[0],
             shard_count=shard[1],
-            records=records,
-            backend=sweep.backend,
-            wall_time_s=sweep.wall_time_s,
+            records=tuple(WearerRecord.from_outcome(index, outcome)
+                          for index, outcome in zip(indices, outcomes)),
+            backend=used,
+            wall_time_s=wall_time_s,
         )
 
     def run_grid(self, fleet: FleetSpec,
@@ -247,12 +252,10 @@ class FleetRunner:
         wearer scenario (a paired experiment), and the entries rank by
         fraction energy-neutral, then p5 final SoC, then median
         detections/day.  To compare registered policies at their
-        defaults, pass one ``PolicyGrid(name)`` per policy.  The
-        vector engine samples the population once and reruns it per
-        candidate; every other backend resamples it for each candidate
-        in the ``"fleet"`` chunk handler, which yields the same
-        environments because wearer sampling is a pure function of
-        ``seed + index``.
+        defaults, pass one ``PolicyGrid(name)`` per policy.  The whole
+        grid ships as one batch: each chunk samples its wearers once
+        and reruns them under every candidate, so a grid costs one
+        executor round trip, not one per candidate.
 
         Args:
             fleet: the population description.
@@ -266,24 +269,18 @@ class FleetRunner:
             the fleet spec and the grids — identical on every backend.
         """
         candidates = expand_grids(grids)
-        specs = wearer_scenarios(fleet) if self.backend == "vector" else None
         started = time.perf_counter()
-        entries = []
-        used = self.backend
-        for label, policy in candidates:
-            sweep = self._sweep_wearers(fleet, range(fleet.n_wearers),
-                                        policy, specs)
-            used = sweep.backend
-            entries.append(ComparisonEntry(
+        outcomes, used = self._sweep_wearers(
+            fleet, range(fleet.n_wearers),
+            [policy for _, policy in candidates])
+        wall_time_s = time.perf_counter() - started
+        entries = tuple(
+            ComparisonEntry(
                 label=label,
                 policy=policy,
                 result=FleetResult.from_outcomes(
-                    fleet, sweep.outcomes, backend=sweep.backend,
-                    wall_time_s=sweep.wall_time_s),
-            ))
-        return FleetGridResult(
-            fleet=fleet.name,
-            entries=tuple(entries),
-            backend=used,
-            wall_time_s=time.perf_counter() - started,
-        )
+                    fleet, candidate, backend=used,
+                    wall_time_s=wall_time_s))
+            for (label, policy), candidate in zip(candidates, outcomes))
+        return FleetGridResult(fleet=fleet.name, entries=entries,
+                               backend=used, wall_time_s=wall_time_s)

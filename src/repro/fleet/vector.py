@@ -42,20 +42,24 @@ totals — and therefore the canonical ``FleetResult`` JSON — *bitwise*.
 tolerance, across the fleet library, every registered policy, shard
 patterns and horizons.
 
-**Dispatch.**  Only policies exposing ``decide_batch``
-(:class:`repro.policies.base.BatchPolicy` — the built-in
-``energy_aware`` and ``static_duty_cycle``) and the stock
+**Dispatch.**  The engine runs only inside the ``"fleet"`` chunk
+handler (:func:`repro.fleet.population.run_wearer_chunk`), which
+:class:`~repro.fleet.runner.FleetRunner` reaches through
+:func:`repro.pool.execute`: in the calling process on
+``backend="vector"``, inside pool workers on ``backend="process"``.
+Each call steps one chunk's wearers under one policy.  Only policies
+exposing ``decide_batch`` (:class:`repro.policies.base.BatchPolicy` —
+the built-in ``energy_aware`` and ``static_duty_cycle``) and the stock
 :class:`~repro.power.battery.LiPoBattery` can step through the array
 loop.  Everything else — stateful forecasts, ``oracle_lookahead``,
 the ``learned``/``learned_q`` networks, third-party components — falls
 back to the per-wearer scalar loop behind the single dispatch point in
-:func:`simulate_specs_vector`, so ``backend="vector"`` is safe for
+:func:`simulate_specs_vector`, so the array engine is safe for
 *every* fleet and merely fastest for batchable ones.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
@@ -64,14 +68,12 @@ from repro.core.simulation import SimulationResult, step_grid
 from repro.errors import PowerModelError, SimulationError, SpecError
 from repro.power.battery import _OCV_SOC_GRID, _OCV_VOLTS, LiPoBattery
 from repro.scenarios.builder import build_timeline
-from repro.scenarios.runner import (ScenarioOutcome, SweepResult,
-                                   lean_simulation)
+from repro.scenarios.runner import lean_simulation
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "DEFAULT_CHUNK",
     "batchable",
-    "run_batch_vector",
     "simulate_specs_vector",
 ]
 
@@ -146,28 +148,6 @@ def simulate_specs_vector(specs: Sequence[ScenarioSpec],
     for start in range(0, len(specs), chunk):
         results.extend(_simulate_chunk(specs[start:start + chunk], sim))
     return results
-
-
-def run_batch_vector(specs: Sequence[ScenarioSpec],
-                     chunk: int = DEFAULT_CHUNK) -> SweepResult:
-    """The vector backend's :meth:`ScenarioRunner.run_batch` twin.
-
-    Same contract: outcomes in input order, unique names required,
-    provenance on the result.  ``backend`` records ``"vector"``
-    whether the batch stepped through the array loop or fell back —
-    the outcomes are identical either way, and the canonical payload
-    never contains the backend.
-    """
-    specs = list(specs)
-    names = [spec.name for spec in specs]
-    if len(set(names)) != len(names):
-        raise SpecError("batch scenario names must be unique")
-    started = time.perf_counter()
-    results = simulate_specs_vector(specs, chunk=chunk)
-    outcomes = tuple(ScenarioOutcome.from_result(spec.name, result)
-                     for spec, result in zip(specs, results))
-    return SweepResult(outcomes=outcomes, backend="vector",
-                       wall_time_s=time.perf_counter() - started)
 
 
 def _intake_matrix(specs: Sequence[ScenarioSpec], harvester,

@@ -197,6 +197,8 @@ class ReproServer:
                 try:
                     content_length = int(value.strip())
                 except ValueError:
+                    content_length = -1
+                if content_length < 0:
                     return ServeResponse(
                         status=400,
                         body=json.dumps({"error": "bad Content-Length"})
@@ -212,7 +214,7 @@ class ReproServer:
             raw = await reader.readexactly(content_length)
             try:
                 parsed = json.loads(raw)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # too deep to parse
                 return ServeResponse(
                     status=400,
                     body=json.dumps({"error": f"invalid JSON body: {exc}"})

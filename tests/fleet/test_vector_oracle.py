@@ -2,11 +2,12 @@
 
 The vectorized fleet engine (:mod:`repro.fleet.vector`) claims *no
 tolerance*: ``backend="vector"`` must reproduce the scalar engine's
-canonical ``FleetResult`` JSON byte for byte.  These tests sweep that
-claim across the axes a fleet study actually varies — the built-in
-fleet library, every registered policy (including the trained
-``learned``/``learned_q`` networks, which exercise the scalar-fallback
-dispatch), samplers, seeds, horizon lengths, and shard patterns
+canonical ``FleetResult`` JSON byte for byte, and so must
+``backend="process"``, which runs the same array lanes inside pool
+workers.  These tests sweep that claim across the axes a fleet study
+actually varies — the built-in fleet library, every registered policy
+(including the trained ``learned``/``learned_q`` networks, which
+exercise the scalar-fallback dispatch), samplers, seeds, horizon lengths, and shard patterns
 (vector-produced shards merged against unsharded scalar runs).  Any
 single byte of divergence fails the suite, so the scalar engine stays
 the single source of truth and the vector engine can never drift into
@@ -25,11 +26,13 @@ from repro.fleet import (
     batchable,
     fleet_names,
     get_fleet,
-    run_batch_vector,
+    simulate_specs_vector,
     wearer_scenarios,
 )
+from repro.fleet import population
 from repro.policies import PolicyGrid, default_policy_names
-from repro.scenarios.runner import ScenarioRunner
+from repro.pool import get_shared_pool
+from repro.scenarios.runner import ScenarioOutcome, ScenarioRunner
 from repro.scenarios.spec import PolicySpec, canonical_json
 
 
@@ -39,6 +42,25 @@ def small_fleet(**overrides) -> FleetSpec:
                     sampler=SamplerSpec("daily_jitter"))
     defaults.update(overrides)
     return FleetSpec(**defaults)
+
+
+def vector_outcomes(specs, **kwargs) -> list[dict]:
+    """The array engine's per-wearer outcome dicts for ``specs``."""
+    return [ScenarioOutcome.from_result(spec.name, result).to_dict()
+            for spec, result in zip(
+                specs, simulate_specs_vector(specs, **kwargs))]
+
+
+def assert_grid_matches_scalar(fleet: FleetSpec, candidates) -> None:
+    """``vector`` and vector-in-workers ``process`` grids both equal
+    the scalar ``serial`` grid byte for byte."""
+    scalar = FleetRunner(workers=1, backend="serial").run_grid(
+        fleet, candidates)
+    for runner in (FleetRunner(backend="vector"),
+                   FleetRunner(workers=2, backend="process")):
+        fast = runner.run_grid(fleet, candidates)
+        assert (canonical_json(fast.to_dict())
+                == canonical_json(scalar.to_dict()))
 
 
 def assert_vector_matches_scalar(fleet: FleetSpec) -> None:
@@ -60,13 +82,7 @@ def test_every_registered_policy(policy_name):
     """Batchable policies take the array path, the rest the scalar
     fallback — either way the payload must be byte-identical (the
     paired ``run_grid`` rerun swaps the policy into every wearer)."""
-    fleet = small_fleet()
-    candidates = [PolicyGrid(policy_name)]
-    scalar = FleetRunner(workers=1, backend="serial").run_grid(
-        fleet, candidates)
-    vector = FleetRunner(backend="vector").run_grid(fleet, candidates)
-    assert (canonical_json(vector.to_dict())
-            == canonical_json(scalar.to_dict()))
+    assert_grid_matches_scalar(small_fleet(), [PolicyGrid(policy_name)])
 
 
 @pytest.mark.parametrize("policy_name", ["learned", "learned_q"])
@@ -79,10 +95,8 @@ def test_trained_policies_fall_back_bitwise(policy_name):
 
     params = network_to_params(build_network(TrainSpec(hidden=(4,), seed=2)))
     fleet = small_fleet()
-    candidates = [PolicyGrid(policy_name, base=params)]
-    scalar = FleetRunner(workers=1, backend="serial").run_grid(
-        fleet, candidates)
-    vector = FleetRunner(backend="vector").run_grid(fleet, candidates)
+    assert_grid_matches_scalar(fleet,
+                               [PolicyGrid(policy_name, base=params)])
     specs = wearer_scenarios(fleet)
     unbatchable = [
         dataclasses.replace(
@@ -91,8 +105,6 @@ def test_trained_policies_fall_back_bitwise(policy_name):
         for spec in specs
     ]
     assert not batchable(unbatchable)
-    assert (canonical_json(vector.to_dict())
-            == canonical_json(scalar.to_dict()))
 
 
 @pytest.mark.parametrize("sampler", ["identity", "daily_jitter",
@@ -117,8 +129,7 @@ def test_ragged_final_step():
     ragged = [dataclasses.replace(spec, duration_s=86_450.0)
               for spec in specs]
     scalar = ScenarioRunner(workers=1, backend="serial").run_batch(ragged)
-    vector = run_batch_vector(ragged)
-    assert ([o.to_dict() for o in vector.outcomes]
+    assert (vector_outcomes(ragged)
             == [o.to_dict() for o in scalar.outcomes])
 
 
@@ -141,10 +152,7 @@ def test_chunking_is_invisible():
     """Chunk size only bounds peak memory; any chunking of the same
     batch yields identical outcomes."""
     specs = wearer_scenarios(small_fleet(n_wearers=5))
-    whole = run_batch_vector(specs)
-    chunked = run_batch_vector(specs, chunk=2)
-    assert ([o.to_dict() for o in chunked.outcomes]
-            == [o.to_dict() for o in whole.outcomes])
+    assert vector_outcomes(specs, chunk=2) == vector_outcomes(specs)
 
 
 def test_batchable_dispatch_facts():
@@ -166,3 +174,34 @@ def test_batchable_dispatch_facts():
     open_horizon = [dataclasses.replace(spec, duration_s=None)
                     for spec in specs]
     assert not batchable(open_horizon)
+
+
+GRID = [PolicyGrid("static_duty_cycle", axes={"rate_per_min": [2.0, 8.0]}),
+        PolicyGrid("energy_aware")]
+
+
+def test_process_grid_is_one_pool_batch():
+    """A whole grid ships as one batch of wearers: one pool round
+    trip, not one per candidate."""
+    fleet = small_fleet(n_wearers=4)
+    before = get_shared_pool().stats.batches
+    result = FleetRunner(workers=2, backend="process").run_grid(fleet, GRID)
+    assert len(result.entries) == 3
+    assert result.backend == "process"
+    assert get_shared_pool().stats.batches == before + 1
+
+
+def test_serial_grid_samples_the_population_once(monkeypatch):
+    """The chunk handler samples its wearers once and reruns them
+    under every candidate."""
+    calls = []
+    sample = population.wearer_scenarios
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(population, "wearer_scenarios", counted)
+    result = FleetRunner(backend="serial").run_grid(small_fleet(), GRID)
+    assert len(result.entries) == 3
+    assert len(calls) == 1

@@ -85,29 +85,34 @@ class TestChunkHandlers:
         assert canonical_json(results) == canonical_json(expected)
 
     def test_wearer_chunk_matches_parent_materialization(self):
-        expected = [run_scenario(spec).to_dict()
+        """Both engines reproduce the scalar ``run_scenario`` outcomes
+        bitwise, whole or strided."""
+        expected = [[run_scenario(spec).to_dict()]
                     for spec in wearer_scenarios(FLEET)]
-        got = run_wearer_chunk({"fleet": FLEET.to_dict()},
-                               list(range(FLEET.n_wearers)))
-        assert canonical_json(got) == canonical_json(expected)
-        results = [None] * FLEET.n_wearers
-        for c in range(2):
-            indices = list(range(FLEET.n_wearers))[c::2]
-            results[c::2] = run_wearer_chunk({"fleet": FLEET.to_dict()},
-                                             indices)
-        assert canonical_json(results) == canonical_json(expected)
+        for engine in ("scalar", "vector"):
+            context = {"fleet": FLEET.to_dict(), "policies": [None],
+                       "engine": engine}
+            got = run_wearer_chunk(context, list(range(FLEET.n_wearers)))
+            assert canonical_json(got) == canonical_json(expected)
+            results = [None] * FLEET.n_wearers
+            for c in range(2):
+                indices = list(range(FLEET.n_wearers))[c::2]
+                results[c::2] = run_wearer_chunk(context, indices)
+            assert canonical_json(results) == canonical_json(expected)
 
     def test_wearer_chunk_policy_replacement_matches_parent(self):
         policy = PolicySpec(name="static_duty_cycle")
         expected = [
-            run_scenario(dataclasses.replace(
-                spec,
-                system=dataclasses.replace(spec.system,
-                                           policy=policy))).to_dict()
+            [run_scenario(spec).to_dict(),
+             run_scenario(dataclasses.replace(
+                 spec,
+                 system=dataclasses.replace(spec.system,
+                                            policy=policy))).to_dict()]
             for spec in wearer_scenarios(FLEET, [0, 3])
         ]
         got = run_wearer_chunk(
-            {"fleet": FLEET.to_dict(), "policy": policy.to_dict()}, [0, 3])
+            {"fleet": FLEET.to_dict(), "policies": [None, policy.to_dict()],
+             "engine": "scalar"}, [0, 3])
         assert canonical_json(got) == canonical_json(expected)
 
     def test_chaos_chunk_matches_serial_campaign(self):

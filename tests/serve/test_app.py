@@ -309,6 +309,17 @@ class TestProtocolErrors:
         assert raw.startswith(b"HTTP/1.1 400")
         assert b"must be a JSON object" in raw
 
+    @pytest.mark.parametrize("headers, body, error", [
+        (b"Content-Length: -5\r\n", b"", b"bad Content-Length"),
+        (b"Content-Length: 100000\r\n", b"[" * 100_000,
+         b"invalid JSON body"),
+    ], ids=["negative_length", "deep_nesting"])
+    def test_malformed_body_400(self, server, headers, body, error):
+        raw = self._raw(server, b"POST /simulate HTTP/1.1\r\n" + headers +
+                        b"\r\n" + body)
+        assert raw.startswith(b"HTTP/1.1 400")
+        assert error in raw
+
     def test_empty_connection_closed_quietly(self, server):
         # Opening and closing without sending anything must not wedge
         # the server.
