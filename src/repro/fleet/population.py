@@ -168,7 +168,10 @@ def run_wearer_chunk(context: Mapping[str, Any],
     — deterministic, so the outcomes are bitwise-identical to a parent
     materialization — and runs them as one batch per policy, on
     :func:`~repro.fleet.vector.simulate_specs_vector` or the scalar
-    oracle.  Each item's result is its wearer's outcome dicts in
+    oracle.  On the vector engine every policy's batch prices through
+    one shared harvest memo, so a grid prices each condition once per
+    chunk; the scalar engine keeps each simulation's own memo.  Each
+    item's result is its wearer's outcome dicts in
     policy order.  In a worker the base scenario and sampler resolve
     by name in a fresh ``import repro``, so runtime-registered
     components raise the process backend's usual explanatory
@@ -177,6 +180,7 @@ def run_wearer_chunk(context: Mapping[str, Any],
     # Deferred: the engines' imports stay off the fleet module's
     # import path until a chunk actually runs.
     from repro.fleet.vector import simulate_specs_vector
+    from repro.scenarios.builder import build_harvester
     from repro.scenarios.runner import ScenarioOutcome, lean_simulation
 
     vector = context["engine"] == "vector"
@@ -186,11 +190,15 @@ def run_wearer_chunk(context: Mapping[str, Any],
     specs = wearer_scenarios(fleet, items)
     for spec in specs:
         crash_hook(context, spec.name)
+    # Candidates differ only in their policy, so one harvest memo
+    # serves every candidate: each condition is priced once per chunk.
+    harvester = (build_harvester(specs[0].system.harvester, cached=True)
+                 if vector and specs else None)
     outcomes: list[list[dict]] = [[] for _ in specs]
     for policy in policies:
         batch = with_policy(specs, policy)
         if vector:
-            results = simulate_specs_vector(batch)
+            results = simulate_specs_vector(batch, harvester=harvester)
         else:
             results = [lean_simulation(spec).run() for spec in batch]
         for wearer, spec, result in zip(outcomes, batch, results):

@@ -17,8 +17,11 @@ per wearer:
   ``(t, dt)`` sequence (:func:`repro.core.simulation.step_grid`) and
   the same per-step fault state, and per-wearer data reduces to one
   intake value per step.
-* **Array layout.**  Per wearer, the sampled timeline's segments are
-  priced once through the shared memoized harvester and spread onto
+* **Array layout.**  The batch's distinct condition pairs are priced
+  once through the shared memoized harvester — the unseen ones as one
+  set of numpy lanes of the PV solve
+  (:func:`repro.harvest.dual.price_conditions`, bitwise equal to the
+  scalar solver) — and each wearer's segments are spread onto
   the step grid (``np.searchsorted`` over the segment end boundaries —
   the exact segment the engine's cursor lands on), giving an
   ``(n_wearers, n_steps)`` intake matrix.  Fault windows compile to
@@ -47,7 +50,9 @@ handler (:func:`repro.fleet.population.run_wearer_chunk`), which
 :class:`~repro.fleet.runner.FleetRunner` reaches through
 :func:`repro.pool.execute`: in the calling process on
 ``backend="vector"``, inside pool workers on ``backend="process"``.
-Each call steps one chunk's wearers under one policy.  Only policies
+Each call steps one chunk's wearers under one policy; the handler
+passes every call of a chunk the same harvest memo, so a policy grid
+prices each condition once per chunk, not once per candidate.  Only policies
 exposing ``decide_batch`` (:class:`repro.policies.base.BatchPolicy` —
 the built-in ``energy_aware`` and ``static_duty_cycle``) and the stock
 :class:`~repro.power.battery.LiPoBattery` can step through the array
@@ -66,6 +71,7 @@ import numpy as np
 
 from repro.core.simulation import SimulationResult, step_grid
 from repro.errors import PowerModelError, SimulationError, SpecError
+from repro.harvest.dual import CachedHarvester, price_conditions
 from repro.power.battery import _OCV_SOC_GRID, _OCV_VOLTS, LiPoBattery
 from repro.scenarios.builder import build_timeline
 from repro.scenarios.runner import lean_simulation
@@ -125,6 +131,7 @@ def batchable(specs: Sequence[ScenarioSpec], sim=None) -> bool:
 
 def simulate_specs_vector(specs: Sequence[ScenarioSpec],
                           chunk: int = DEFAULT_CHUNK,
+                          harvester: CachedHarvester | None = None,
                           ) -> list[SimulationResult]:
     """Per-wearer results, bitwise-identical to the scalar engine.
 
@@ -135,6 +142,12 @@ def simulate_specs_vector(specs: Sequence[ScenarioSpec],
     :func:`batchable`) step through the array loop in chunks of
     ``chunk`` wearers, everything else drops to the per-wearer scalar
     loop — so callers get the scalar-oracle numbers either way.
+
+    Every wearer on the first spec's harvester chain prices through
+    one memo of it: ``harvester`` when given (the fleet chunk handler
+    passes one per chunk, so every candidate of a grid reads the
+    conditions the first one priced), else the first simulation's own.
+    Wearers of a mixed batch on another chain keep their own memo.
     """
     specs = list(specs)
     if not specs:
@@ -142,66 +155,98 @@ def simulate_specs_vector(specs: Sequence[ScenarioSpec],
     if chunk < 1:
         raise SpecError(f"chunk must be at least 1, got {chunk!r}")
     sim = lean_simulation(specs[0])
+    if harvester is None:
+        harvester = sim.harvester
     if not batchable(specs, sim):
-        return [lean_simulation(spec).run() for spec in specs]
+        return _simulate_scalar(specs, harvester)
     results: list[SimulationResult] = []
     for start in range(0, len(specs), chunk):
-        results.extend(_simulate_chunk(specs[start:start + chunk], sim))
+        results.extend(
+            _simulate_chunk(specs[start:start + chunk], sim, harvester))
     return results
+
+
+def _simulate_scalar(specs: Sequence[ScenarioSpec],
+                     harvester: CachedHarvester) -> list[SimulationResult]:
+    """The per-wearer scalar fallback, priced through ``harvester``.
+
+    ``harvester`` memoizes ``specs[0]``'s chain, so only the wearers on
+    that chain share it: their conditions are primed in one
+    :func:`~repro.harvest.dual.price_conditions` call and their scalar
+    loops' lookups are all hits.  Any other wearer runs on its own
+    simulation's memo, exactly as ``lean_simulation(spec).run()``.
+    """
+    sims = [lean_simulation(spec) for spec in specs]
+    shared = [sim for spec, sim in zip(specs, sims)
+              if spec.system.harvester == specs[0].system.harvester]
+    price_conditions(harvester, [
+        (segment.lighting, segment.thermal)
+        for sim in shared for segment in sim.timeline.segments])
+    for sim in shared:
+        sim.harvester = harvester
+    return [sim.run() for sim in sims]
 
 
 def _intake_matrix(specs: Sequence[ScenarioSpec], harvester,
                    times: Sequence[float]) -> np.ndarray:
     """Per-step harvest intake, one row per wearer.
 
-    Each wearer's segments are priced once through the shared memoized
-    harvester (``battery_intake_w`` is a pure function of the
-    condition pair, so sharing one cache across wearers changes no
-    floats) and spread onto the step grid: ``searchsorted(side=
-    "right")`` over the cumulative end boundaries, clipped to the last
-    segment, is exactly the segment the engine's monotone cursor
-    evaluates at each step time (see
+    Rows are built once per distinct timeline spec (hashable frozen
+    dataclasses), so fleets whose sampler repeats timelines across
+    wearers — ``identity`` above all — build one row for the whole
+    population.  Every distinct timeline's segments are priced in one
+    :func:`~repro.harvest.dual.price_conditions` call on the memoized
+    harvester: the unseen condition pairs of the whole batch run as
+    one set of numpy lanes of the PV solve, bitwise equal to the
+    scalar Lambert-W bisection, and pairs an earlier batch sharing the
+    memo already priced are hits (``battery_intake_w`` is a pure
+    function of the pair, so sharing the memo changes no floats).
+    Each row then spreads its segments onto the step grid:
+    ``searchsorted(side="right")`` over the cumulative end boundaries,
+    clipped to the last segment, is exactly the segment the engine's
+    monotone cursor evaluates at each step time (see
     :meth:`~repro.harvest.environment.EnvironmentTimeline.indices_at`).
-
-    Rows are memoized per distinct timeline spec (hashable frozen
-    dataclasses): fleets whose sampler repeats timelines across
-    wearers — ``identity`` above all — price the whole population in
-    one row.  For such batch-friendly fleets the per-segment harvest
-    solves (Lambert-W bisection per *distinct* condition pair, a
-    millisecond-scale cost no engine can vectorize away bitwise)
-    amortize to nothing, which is where the vector engine's
-    multipliers come from; fully jittered fleets keep their per-wearer
-    pricing bill on every backend.
     """
     t_arr = np.asarray(times)
     intake = np.empty((len(specs), len(times)))
-    rows: dict = {}
+    first: dict = {}  # timeline spec -> its first row
+    sources: list[int] = []
+    layouts: list = []  # (row, start, end into pairs, segment ends)
+    pairs: list = []
     for row, spec in enumerate(specs):
-        cached = rows.get(spec.timeline)
-        if cached is not None:
-            intake[row] = cached
+        source = first.setdefault(spec.timeline, row)
+        sources.append(source)
+        if source != row:
             continue
         timeline = build_timeline(spec.timeline)
-        powers = np.array([
-            harvester.battery_intake_w(segment.lighting, segment.thermal)
-            for segment in timeline.segments])
-        boundaries = np.asarray(timeline.boundaries_s)
+        start = len(pairs)
+        pairs.extend((segment.lighting, segment.thermal)
+                     for segment in timeline.segments)
+        layouts.append((row, start, len(pairs),
+                        np.asarray(timeline.boundaries_s)))
+    powers = np.array(price_conditions(harvester, pairs), dtype=np.float64)
+    # Filled row by row in place: peak memory stays at the matrix plus
+    # one row of segment indices.
+    for row, start, end, boundaries in layouts:
         seg_idx = np.minimum(
             np.searchsorted(boundaries, t_arr, side="right"),
-            len(powers) - 1)
-        intake[row] = powers[seg_idx]
-        rows[spec.timeline] = intake[row]
+            end - start - 1)
+        np.take(powers[start:end], seg_idx, out=intake[row])
+    for row, source in enumerate(sources):
+        if source != row:
+            intake[row] = intake[source]
     return intake
 
 
-def _simulate_chunk(specs: Sequence[ScenarioSpec],
-                    sim) -> list[SimulationResult]:
+def _simulate_chunk(specs: Sequence[ScenarioSpec], sim,
+                    harvester: CachedHarvester) -> list[SimulationResult]:
     """Step one chunk of wearers through the array loop.
 
     ``sim`` is a *fresh* (never stepped) simulation built from any
     spec of the batch: it supplies the shared components — battery
     parameters and initial charge, policy, detection energy, fault
-    timeline, memoized harvester.  Every numpy expression below is the
+    timeline.  ``harvester`` is the memo pricing the chunk's
+    conditions.  Every numpy expression below is the
     scalar loop's float arithmetic verbatim; comments reference the
     matching lines of :meth:`DaySimulation.run` and
     :class:`~repro.power.battery.LiPoBattery`.
@@ -241,7 +286,7 @@ def _simulate_chunk(specs: Sequence[ScenarioSpec],
         sensor_oks = [True] * n_steps
         fault_demand_j = 0.0
 
-    intake = _intake_matrix(specs, sim.harvester, times)
+    intake = _intake_matrix(specs, harvester, times)
     if scales is not None:
         intake = intake * scales[np.newaxis, :]
     if np.any(intake < 0.0):

@@ -14,11 +14,25 @@ types are frozen (hashable) dataclasses and a day-in-the-life timeline
 only ever visits a handful of distinct pairs, so a multi-day
 simulation pays for the Lambert-W diode solve and the TEG thermal
 network once per pair instead of once per step.
+
+:func:`price_conditions` is the batched form of that lookup: it
+answers a whole list of pairs and *primes* the memo with the unseen
+ones in one go.  For the stock :class:`DualSourceHarvester` the unseen
+pairs' PV solves run as numpy lanes
+(:meth:`~repro.harvest.photovoltaic.PVPanel.power_at_fraction_voc_lanes`),
+bitwise equal to the scalar solver; any other chain is priced pair by
+pair through its ``battery_intake_w``.  Priming keeps the
+:class:`HarvestCacheStats` meaning of a per-pair lookup loop: each
+primed pair (distinct and not yet memoized) is one miss, every other
+pair of the list one hit, so ``lookups`` is the list's length and
+``misses`` the number of pairs ever priced.  Later ``battery_intake_w``
+calls on a primed pair are hits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.harvest.converters import HarvesterConverter
 from repro.harvest.environment import (
@@ -35,6 +49,7 @@ __all__ = [
     "DualSourceHarvester",
     "HarvestCacheStats",
     "CachedHarvester",
+    "price_conditions",
 ]
 
 
@@ -121,7 +136,9 @@ class HarvestCacheStats:
 
     Attributes:
         hits: lookups answered from the memo.
-        misses: lookups that ran the wrapped chain's models.
+        misses: lookups that ran the wrapped chain's models, one per
+            distinct pair priced (by a lookup or by
+            :func:`price_conditions`).
     """
 
     hits: int = 0
@@ -183,3 +200,65 @@ class CachedHarvester:
         except KeyError:
             raise AttributeError(name) from None
         return getattr(inner, name)
+
+
+def price_conditions(cache: CachedHarvester,
+                     pairs: Sequence[tuple[LightingCondition, ThermalCondition]],
+                     ) -> list[float]:
+    """``cache.battery_intake_w(*pair)`` of every pair, priced in one go.
+
+    The unseen distinct pairs are priced together (as PV lanes for the
+    stock chain, see :func:`_chain_intakes`) and memoized; the stats
+    count exactly what a per-pair ``battery_intake_w`` loop would.
+    """
+    memo = cache._memo
+    intakes: list = []
+    # Unseen pair -> its first position; later positions of the same
+    # unseen pair go to ``repeats`` (no per-pair lists: a jittered
+    # batch has one pending pair per segment).
+    pending: dict[tuple[LightingCondition, ThermalCondition], int] = {}
+    repeats: list[int] = []
+    for position, key in enumerate(pairs):
+        intake = memo.get(key)
+        if intake is None and pending.setdefault(key, position) != position:
+            repeats.append(position)
+        intakes.append(intake)
+    if pending:
+        for (key, position), intake in zip(
+                pending.items(), _chain_intakes(cache.inner, list(pending))):
+            memo[key] = intakes[position] = intake
+        for position in repeats:
+            intakes[position] = memo[pairs[position]]
+    cache.stats.misses += len(pending)
+    cache.stats.hits += len(intakes) - len(pending)
+    return intakes
+
+
+def _chain_intakes(chain, pairs) -> list:
+    """``chain.battery_intake_w(*pair)`` per pair, the solar channel of
+    a stock :class:`DualSourceHarvester` priced as PV lanes.
+
+    The stock chain's sum of its channels is replayed verbatim, so
+    every intake equals the scalar chain's bitwise; any other chain
+    is priced pair by pair.
+    """
+    if type(chain) is not DualSourceHarvester:
+        return [chain.battery_intake_w(lighting, thermal)
+                for lighting, thermal in pairs]
+    lightings = list(dict.fromkeys(lighting for lighting, _ in pairs))
+    solar_w = dict(zip(lightings, _solar_intakes(chain.solar, lightings)))
+    teg_w = {thermal: chain.teg.battery_intake_w(thermal)
+             for thermal in dict.fromkeys(thermal for _, thermal in pairs)}
+    return [solar_w[lighting] + teg_w[thermal] for lighting, thermal in pairs]
+
+
+def _solar_intakes(solar, lightings: list[LightingCondition]) -> list:
+    """``solar.battery_intake_w(lighting)`` per lighting: one lane
+    solve for a stock :class:`SolarHarvester`, else one call each."""
+    if type(solar) is not SolarHarvester or type(solar.panel) is not PVPanel:
+        return [solar.battery_intake_w(lighting) for lighting in lightings]
+    converter = solar.converter
+    powers = solar.panel.power_at_fraction_voc_lanes(
+        [lighting.lux for lighting in lightings], converter.mppt_fraction)
+    # SolarHarvester.transducer_power_w's clamp, then the converter.
+    return [converter.battery_intake_w(max(0.0, power)) for power in powers]

@@ -8,7 +8,15 @@ relation
     I = I_ph - I_0 * (exp((V + I*Rs) / (Ns * n * Vt)) - 1) - (V + I*Rs) / Rsh
 
 is solved in closed form with the Lambert-W function (scipy), which
-keeps I-V sweeps fast and exact.
+keeps I-V sweeps fast and exact.  Where the Lambert-W argument
+``a * exp(x)`` would overflow a float64 (several Mlx and up), the
+solver evaluates ``W(exp(x + log a))`` as the Wright omega function
+instead, so V_oc and power keep rising with light instead of
+collapsing to zero.
+
+The ``*_lanes`` methods price many illuminances at once: the same
+expressions in the same order, with ``np.where`` choosing each lane's
+bisection bracket, so every lane equals the scalar solver bitwise.
 
 Thin-film amorphous-silicon panels like the SP3-12 track illuminance
 (lux) well across spectra, so the photocurrent is parameterised
@@ -23,12 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
+from scipy.special import lambertw, wrightomega
 
 from repro.errors import HarvestModelError
 from repro.units import thermal_voltage
 
 __all__ = ["PVPanelParams", "PVPanel", "IVPoint"]
+
+#: Largest ``x`` whose ``np.exp(x)`` is finite in float64.
+_EXP_MAX = float(np.log(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -117,26 +128,39 @@ class PVPanel:
         shape.  Valid in the power quadrant and slightly beyond (the
         formula itself holds for any V).
         """
-        p = self.params
-        nvt = self._nvt()
-        i_ph = self.photocurrent(lux)
-        v = np.asarray(voltage_v, dtype=np.float64)
-
-        rs, rsh, i0 = p.series_resistance, p.shunt_resistance, p.diode_saturation_current
-        if rs == 0.0:
-            # No series resistance: the diode equation is explicit.
-            i = i_ph - i0 * np.expm1(v / nvt) - v / rsh
-        else:
-            # Standard Lambert-W solution of the implicit diode equation.
-            theta = (
-                rs * i0 * rsh / (nvt * (rs + rsh))
-                * np.exp(rsh * (v + rs * (i_ph + i0)) / (nvt * (rs + rsh)))
-            )
-            w = np.real(lambertw(theta))
-            i = (rsh * (i_ph + i0) - v) / (rs + rsh) - (nvt / rs) * w
+        i = self._current(np.asarray(voltage_v, dtype=np.float64),
+                          self.photocurrent(lux))
         if np.ndim(voltage_v) == 0:
             return float(i)
         return i
+
+    def _current(self, v, i_ph):
+        """Terminal current at voltages ``v`` under photocurrents ``i_ph``.
+
+        Shared by the scalar and lane solvers; ``v`` and ``i_ph``
+        broadcast elementwise.
+        """
+        p = self.params
+        nvt = self._nvt()
+        rs, rsh, i0 = p.series_resistance, p.shunt_resistance, p.diode_saturation_current
+        if rs == 0.0:
+            # No series resistance: the diode equation is explicit.
+            return i_ph - i0 * np.expm1(v / nvt) - v / rsh
+        # Standard Lambert-W solution of the implicit diode equation,
+        # W(scale * exp(x)).
+        scale = rs * i0 * rsh / (nvt * (rs + rsh))
+        x = rsh * (v + rs * (i_ph + i0)) / (nvt * (rs + rsh))
+        over = x > _EXP_MAX
+        # A numpy scalar's .any() costs more than the whole comparison.
+        if over.any() if isinstance(over, np.ndarray) else over:
+            # exp(x) overflows: W(exp(y)) is wrightomega(y), with
+            # y = x + log(scale).  Every physical panel has scale << 1,
+            # so scale * exp(x) cannot overflow where exp(x) does not.
+            w = np.where(over, wrightomega(x + np.log(scale)),
+                         np.real(lambertw(scale * np.exp(np.where(over, 0.0, x)))))
+        else:
+            w = np.real(lambertw(scale * np.exp(x)))
+        return (rsh * (i_ph + i0) - v) / (rs + rsh) - (nvt / rs) * w
 
     def short_circuit_current(self, lux: float) -> float:
         """Terminal current with the panel shorted."""
@@ -157,6 +181,27 @@ class PVPanel:
             else:
                 v_hi = mid
         return 0.5 * (v_lo + v_hi)
+
+    def open_circuit_voltage_lanes(self, lux) -> np.ndarray:
+        """:meth:`open_circuit_voltage` of every illuminance in ``lux``.
+
+        One lockstep bisection over all lanes: the same expressions in
+        the same order, with ``np.where`` keeping each lane's bracket,
+        so every lane equals the scalar solver bitwise.
+        """
+        lux = np.asarray(lux, dtype=np.float64)
+        if np.any(lux < 0):
+            raise HarvestModelError(
+                f"illuminance cannot be negative: {lux[lux < 0][0]}")
+        i_ph = self.params.photocurrent_per_lux * lux
+        v_hi = self._nvt() * np.log1p(i_ph / self.params.diode_saturation_current)
+        v_lo = np.zeros_like(v_hi)
+        for _ in range(80):
+            mid = 0.5 * (v_lo + v_hi)
+            above = self._current(mid, i_ph) > 0.0
+            v_lo = np.where(above, mid, v_lo)
+            v_hi = np.where(above, v_hi, mid)
+        return np.where(i_ph <= 0.0, 0.0, 0.5 * (v_lo + v_hi))
 
     # -- curves and maximum power ----------------------------------------------
 
@@ -198,3 +243,14 @@ class PVPanel:
         voc = self.open_circuit_voltage(lux)
         v = fraction * voc
         return IVPoint(v, self.current(v, lux)) if voc > 0 else IVPoint(0.0, 0.0)
+
+    def power_at_fraction_voc_lanes(self, lux, fraction: float) -> np.ndarray:
+        """``operating_point_at_fraction_voc(lux, fraction).power_w`` of
+        every illuminance in ``lux``, bitwise equal per lane."""
+        if not 0.0 < fraction < 1.0:
+            raise HarvestModelError(f"MPPT fraction must lie in (0, 1): {fraction}")
+        lux = np.asarray(lux, dtype=np.float64)
+        voc = self.open_circuit_voltage_lanes(lux)
+        v = fraction * voc
+        power = v * self._current(v, self.params.photocurrent_per_lux * lux)
+        return np.where(voc > 0, power, 0.0)

@@ -32,7 +32,9 @@ from repro.fleet import (
 from repro.fleet import population
 from repro.policies import PolicyGrid, default_policy_names
 from repro.pool import get_shared_pool
-from repro.scenarios.runner import ScenarioOutcome, ScenarioRunner
+from repro.scenarios.builder import build_harvester
+from repro.scenarios.runner import (ScenarioOutcome, ScenarioRunner,
+                                   lean_simulation)
 from repro.scenarios.spec import PolicySpec, canonical_json
 
 
@@ -115,6 +117,20 @@ def test_samplers_and_seeds(sampler, seed):
         small_fleet(sampler=SamplerSpec(sampler), seed=seed))
 
 
+@pytest.mark.parametrize("sampler", ["daily_jitter", "cloudy_streaks"])
+@pytest.mark.parametrize("seed", range(5))
+def test_jittered_lane_pricing_across_seeds(sampler, seed):
+    """Jittered samplers make every segment a new condition, so every
+    intake comes from the lane pricer; ``vector`` and vector-in-workers
+    ``process`` must still equal the scalar oracle byte for byte."""
+    fleet = small_fleet(sampler=SamplerSpec(sampler), seed=seed)
+    scalar = FleetRunner(workers=1, backend="serial").run(fleet)
+    for runner in (FleetRunner(backend="vector"),
+                   FleetRunner(workers=2, backend="process")):
+        assert (canonical_json(runner.run(fleet).to_dict())
+                == canonical_json(scalar.to_dict()))
+
+
 @pytest.mark.parametrize("horizon_days", [1, 2])
 def test_horizon_lengths(horizon_days):
     assert_vector_matches_scalar(small_fleet(horizon_days=horizon_days,
@@ -176,6 +192,28 @@ def test_batchable_dispatch_facts():
     assert not batchable(open_horizon)
 
 
+@pytest.mark.parametrize("shared", [False, True])
+def test_mixed_harvester_batch_falls_back_bitwise(shared):
+    """A batch mixing harvester chains is not batchable; its scalar
+    fallback must price every wearer on its own chain, whether the
+    first wearer's memo is passed in or built."""
+    specs = [
+        dataclasses.replace(spec, system=dataclasses.replace(
+            spec.system, harvester=harvester))
+        for spec, harvester in zip(
+            wearer_scenarios(small_fleet(n_wearers=4)),
+            ["calibrated_dual", "calibrated_solar_only",
+             "calibrated_teg_only", "calibrated_dual"])
+    ]
+    assert not batchable(specs)
+    kwargs = ({"harvester": build_harvester("calibrated_dual", cached=True)}
+              if shared else {})
+    assert vector_outcomes(specs, **kwargs) == [
+        ScenarioOutcome.from_result(spec.name,
+                                    lean_simulation(spec).run()).to_dict()
+        for spec in specs]
+
+
 GRID = [PolicyGrid("static_duty_cycle", axes={"rate_per_min": [2.0, 8.0]}),
         PolicyGrid("energy_aware")]
 
@@ -205,3 +243,48 @@ def test_serial_grid_samples_the_population_once(monkeypatch):
     result = FleetRunner(backend="serial").run_grid(small_fleet(), GRID)
     assert len(result.entries) == 3
     assert len(calls) == 1
+
+
+def test_grid_prices_each_condition_once(monkeypatch):
+    """A grid on ``vector`` prices each distinct condition pair of the
+    chunk exactly once, as PV lanes: one shared memo takes every miss,
+    the array candidates and the scalar fallback (``ewma_forecast``)
+    read it, and the scalar V_oc solver never runs."""
+    from repro.harvest.photovoltaic import PVPanel
+    from repro.scenarios import builder
+
+    memos = []
+    build = builder.build_harvester
+
+    def recording(*args, **kwargs):
+        harvester = build(*args, **kwargs)
+        memos.append(harvester)
+        return harvester
+
+    def scalar_voc(self, lux):
+        raise AssertionError("scalar V_oc solve on the vector engine")
+
+    lanes = []
+    lane_voc = PVPanel.open_circuit_voltage_lanes
+
+    def recording_lanes(self, lux):
+        lanes.extend(lux)
+        return lane_voc(self, lux)
+
+    monkeypatch.setattr(builder, "build_harvester", recording)
+    monkeypatch.setattr(PVPanel, "open_circuit_voltage", scalar_voc)
+    monkeypatch.setattr(PVPanel, "open_circuit_voltage_lanes",
+                        recording_lanes)
+    fleet = small_fleet(n_wearers=4)
+    grid = [PolicyGrid("ewma_forecast"), PolicyGrid("energy_aware"),
+            PolicyGrid("static_duty_cycle")]
+    result = FleetRunner(backend="vector").run_grid(fleet, grid)
+    assert len(result.entries) == 3
+
+    pairs = {(segment.lighting, segment.thermal)
+             for spec in wearer_scenarios(fleet)
+             for segment in builder.build_timeline(spec.timeline).segments}
+    priced = [memo for memo in memos if memo.stats.misses]
+    assert len(priced) == 1
+    assert priced[0].stats.misses == len(pairs)
+    assert sorted(lanes) == sorted({lighting.lux for lighting, _ in pairs})

@@ -8,6 +8,10 @@ from repro.errors import HarvestModelError
 from repro.harvest.calibrated import solar_panel_params
 from repro.harvest.photovoltaic import IVPoint, PVPanel, PVPanelParams
 
+# No illuminance may overflow exp/Lambert-W, in the scalar or the
+# lane solver: every test here fails on a RuntimeWarning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture
 def panel():
@@ -112,3 +116,88 @@ class TestMaximumPower:
 class TestIVPoint:
     def test_power_is_product(self):
         assert IVPoint(2.0, 0.5).power_w == 1.0
+
+
+def _fleet_lux() -> list[float]:
+    """Every distinct illuminance three library fleets sample at seeds 0-4."""
+    import dataclasses
+
+    from repro.fleet import get_fleet, wearer_scenarios
+
+    lux = set()
+    for name in ("office_cohort_week", "overcast_commuters_fortnight",
+                 "night_shift_ward_month"):
+        for seed in range(5):
+            fleet = dataclasses.replace(get_fleet(name), seed=seed)
+            lux.update(segment.lux for spec in wearer_scenarios(fleet)
+                       for segment in spec.timeline.segments)
+    return sorted(lux)
+
+
+def _ulp_neighbours(*centres: float) -> list[float]:
+    return [value for centre in centres
+            for value in (np.nextafter(centre, -np.inf), centre,
+                          np.nextafter(centre, np.inf))]
+
+
+LANE_GRIDS = {
+    "linear_0_100klx": lambda: np.linspace(0.0, 1e5, 5004).tolist(),
+    "log_1mlx_100klx": lambda: np.logspace(-3, 5, 1000).tolist(),
+    "dark": lambda: [0.0],
+    "ulp_700lx_30klx": lambda: _ulp_neighbours(700.0, 30_000.0),
+    "library_fleets": _fleet_lux,
+}
+
+
+class TestLanes:
+    """The lane solver must equal the scalar solver bitwise — no
+    tolerance — on every grid the fleet engine can meet."""
+
+    @pytest.mark.parametrize("grid", sorted(LANE_GRIDS))
+    def test_lanes_match_scalar_bitwise(self, panel, grid):
+        lux = LANE_GRIDS[grid]()
+        voc = panel.open_circuit_voltage_lanes(lux)
+        power = panel.power_at_fraction_voc_lanes(lux, 0.8)
+        scalar_voc = [panel.open_circuit_voltage(value) for value in lux]
+        scalar_power = [panel.operating_point_at_fraction_voc(value, 0.8).power_w
+                        for value in lux]
+        assert voc.tolist() == scalar_voc
+        assert power.tolist() == scalar_power
+
+    def test_lanes_reject_negative_lux(self, panel):
+        with pytest.raises(HarvestModelError):
+            panel.open_circuit_voltage_lanes([100.0, -1.0])
+
+    def test_lanes_validate_fraction(self, panel):
+        with pytest.raises(HarvestModelError):
+            panel.power_at_fraction_voc_lanes([100.0], 1.0)
+
+
+class TestBrightLightEdge:
+    """Above ~2.8 Mlx the Lambert-W argument overflows float64; the
+    Wright-omega branch must keep the model physical there."""
+
+    LUX = [0.0, *np.logspace(-3, 7, 241).tolist()]
+
+    def test_voc_and_intake_monotone_and_warning_free(self):
+        import warnings
+
+        from repro.harvest.calibrated import calibrated_solar_harvester
+        from repro.harvest.environment import LightingCondition
+
+        solar = calibrated_solar_harvester()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            voc = [solar.panel.open_circuit_voltage(lux) for lux in self.LUX]
+            intake = [solar.battery_intake_w(LightingCondition(lux=lux))
+                      for lux in self.LUX]
+            lanes = solar.panel.open_circuit_voltage_lanes(self.LUX)
+        assert np.all(np.diff(voc) >= 0.0)
+        assert np.all(np.diff(intake) >= 0.0)
+        assert voc[-1] > 5.0 and intake[-1] > 0.04
+        assert lanes.tolist() == voc
+
+    def test_iv_curve_finite_past_overflow(self, panel):
+        curve = panel.iv_curve(1e7, num_points=20)
+        assert all(np.isfinite(point.current_a) for point in curve)
+        assert curve[0].current_a > 0.0
