@@ -123,10 +123,13 @@ class BatchPolicy(Policy, Protocol):
       bit-for-bit the ``detection_rate_per_min`` that ``decide`` would
       return for wearer ``i``'s observation — the scalar engine is the
       oracle, and the differential harness asserts this equivalence.
-    * A batch decision must be a pure function of its arguments: the
-      engine offers no per-wearer ``reset`` hook, so stateful policies
-      (forecasts, counters) should *not* implement ``decide_batch``
-      and will be stepped by the scalar fallback instead.
+    * The engine drives one policy object per array pass:
+      ``_simulate_chunk`` calls its ``reset()`` (when it has one) once
+      at the start of the pass, then ``decide_batch`` once per step
+      with every lane of the chunk.  A stateful policy may therefore
+      keep per-lane state (one array entry per wearer), cleared by
+      ``reset()``; lane ``i`` must still evolve exactly as a fresh
+      scalar run of wearer ``i`` would.
     """
 
     def decide_batch(self, time_s: float, step_s: float,

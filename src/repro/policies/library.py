@@ -19,17 +19,28 @@ space a policy study needs:
   over a future window.  Not realizable on hardware; an upper bound
   for policy studies.
 
+The three banded policies share one SoC band — floor, ceiling and
+clamped energy-neutral rate — which lives only in
+:mod:`repro.core.manager` (:class:`~repro.core.manager.ManagerPolicy`
+validates and defaults its thresholds; the manager holds its scalar
+and mask forms).  Each policy here supplies only the power estimate it
+prices: instantaneous, EWMA or lookahead mean.
+
 Factories registered here take ``(params, context)`` — the
 :class:`~repro.scenarios.spec.PolicySpec` params mapping plus a
 :class:`~repro.policies.base.PolicyContext` — and raise
-:class:`~repro.errors.SpecError` on unknown params, inverted SoC
-bands, negative rates and other invalid configurations, so a bad grid
+:class:`~repro.errors.SpecError` on unknown params, non-finite
+values, inverted SoC bands, negative rates and other invalid
+configurations, so a bad grid
 point fails at build time with the registered knob names in the
 message.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import sys
 from bisect import bisect_right
 from typing import Any, Mapping
 
@@ -72,30 +83,24 @@ def _merge_params(name: str, params: Mapping[str, Any],
             raise SpecError(
                 f"{name} policy param {key!r} must be a number, "
                 f"got {value!r}")
+        # Fails for NaN and +/-inf, and (unlike math.isfinite, which
+        # overflows) for JSON integers past the float range.
+        if not abs(value) <= sys.float_info.max:
+            raise SpecError(
+                f"{name} policy param {key!r} must be finite, "
+                f"got {value!r}")
     merged = dict(defaults)
     merged.update(params)
     return merged
 
 
-def _check_band(name: str, min_rate: float, max_rate: float,
-                low_soc: float, high_soc: float, margin: float) -> None:
-    """Shared rate/band/margin validation, reported as SpecError."""
-    if min_rate < 0 or max_rate <= 0:
-        raise SpecError(
-            f"{name} policy rates must be non-negative "
-            f"(min {min_rate!r}) and positive (max {max_rate!r})")
-    if min_rate > max_rate:
-        raise SpecError(
-            f"{name} policy min rate {min_rate!r} cannot exceed "
-            f"max rate {max_rate!r}")
-    if not 0.0 <= low_soc < high_soc <= 1.0:
-        raise SpecError(
-            f"{name} policy needs 0 <= low_soc < high_soc <= 1, "
-            f"got [{low_soc!r}, {high_soc!r}]")
-    if not 0.0 <= margin < 1.0:
-        raise SpecError(
-            f"{name} policy neutrality_margin must lie in [0, 1), "
-            f"got {margin!r}")
+def _band_manager(name: str, detection_energy_j: float,
+                  band: Mapping[str, Any]) -> EnergyAwareManager:
+    """The SoC band of one banded policy, its errors as SpecError."""
+    try:
+        return EnergyAwareManager(detection_energy_j, ManagerPolicy(**band))
+    except ConfigurationError as exc:
+        raise SpecError(f"bad {name} policy params: {exc}") from None
 
 
 class EnergyAwarePolicy:
@@ -118,43 +123,20 @@ class EnergyAwarePolicy:
         return self.manager.policy.max_rate_per_min
 
     def decide(self, obs: PowerObservation) -> PolicyDecision:
-        manager = self.manager
-        rate = manager.detection_rate_per_min(obs.harvest_power_w,
-                                              obs.state_of_charge)
-        thresholds = manager.policy
-        if obs.state_of_charge < thresholds.low_soc:
-            mode = "starving"
-        elif obs.state_of_charge > thresholds.high_soc:
-            mode = "abundant"
-        else:
-            mode = "neutral"
-        return PolicyDecision(rate, mode)
+        return PolicyDecision(*self.manager.rate_and_regime(
+            obs.harvest_power_w, obs.state_of_charge))
 
     def decide_batch(self, time_s: float, step_s: float,
                      harvest_power_w: np.ndarray,
                      state_of_charge: np.ndarray) -> np.ndarray:
         """Per-wearer rates, element-wise identical to :meth:`decide`.
 
-        The :class:`~repro.policies.base.BatchPolicy` hook: the same
-        starving / abundant / clamped-neutral regimes the wrapped
-        manager implements, computed as masks with the manager's exact
-        float operations (``harvest * (1 - margin)`` then
-        ``usable * 60 / E``, then ``min(max, max(min, neutral))``), so
-        every entry is bit-for-bit the scalar decision.
+        The :class:`~repro.policies.base.BatchPolicy` hook: the wrapped
+        manager's mask form of the band
+        (:meth:`~repro.core.manager.EnergyAwareManager.detection_rates_per_min`).
         """
-        if np.any((state_of_charge < 0.0) | (state_of_charge > 1.0)):
-            # Mirrors EnergyAwareManager.detection_rate_per_min.
-            raise ConfigurationError("state of charge must lie in [0, 1]")
-        manager = self.manager
-        p = manager.policy
-        usable = harvest_power_w * (1.0 - p.neutrality_margin)
-        neutral = np.where(harvest_power_w > 0,
-                           usable * 60.0 / manager.detection_energy_j, 0.0)
-        banded = np.minimum(p.max_rate_per_min,
-                            np.maximum(p.min_rate_per_min, neutral))
-        return np.where(state_of_charge < p.low_soc, p.min_rate_per_min,
-                        np.where(state_of_charge > p.high_soc,
-                                 p.max_rate_per_min, banded))
+        return self.manager.detection_rates_per_min(harvest_power_w,
+                                                    state_of_charge)
 
 
 class StaticDutyCyclePolicy:
@@ -168,9 +150,10 @@ class StaticDutyCyclePolicy:
     """
 
     def __init__(self, rate_per_min: float = 6.0) -> None:
-        if rate_per_min < 0:
+        if not 0.0 <= rate_per_min < math.inf:
             raise SpecError(
-                f"static_duty_cycle rate cannot be negative: {rate_per_min!r}")
+                f"static_duty_cycle rate must be finite and cannot be "
+                f"negative: {rate_per_min!r}")
         self.rate_per_min = rate_per_min
         self.max_rate_per_min = max(rate_per_min, 1.0)
 
@@ -184,45 +167,7 @@ class StaticDutyCyclePolicy:
         return np.full_like(state_of_charge, self.rate_per_min)
 
 
-class _SocBandedPolicy:
-    """Shared SoC-hysteresis plumbing for forecast-style policies.
-
-    Same regime structure as ``energy_aware``: floor rate when
-    starving, ceiling when abundant, and in between the energy-neutral
-    rate of whatever power estimate the subclass supplies to
-    :meth:`_banded_decision`.
-    """
-
-    def __init__(self, name: str, detection_energy_j: float,
-                 min_rate_per_min: float, max_rate_per_min: float,
-                 low_soc: float, high_soc: float,
-                 neutrality_margin: float) -> None:
-        if detection_energy_j <= 0:
-            raise SpecError(f"{name} detection energy must be positive")
-        _check_band(name, min_rate_per_min, max_rate_per_min,
-                    low_soc, high_soc, neutrality_margin)
-        self.detection_energy_j = detection_energy_j
-        self.min_rate_per_min = min_rate_per_min
-        self.max_rate_per_min = max_rate_per_min
-        self.low_soc = low_soc
-        self.high_soc = high_soc
-        self.neutrality_margin = neutrality_margin
-
-    def _banded_decision(self, state_of_charge: float,
-                         power_estimate_w: float, mode: str) -> PolicyDecision:
-        """Floor / ceiling / clamped-neutral dispatch on one estimate."""
-        if state_of_charge < self.low_soc:
-            return PolicyDecision(self.min_rate_per_min, "starving")
-        if state_of_charge > self.high_soc:
-            return PolicyDecision(self.max_rate_per_min, "abundant")
-        usable = power_estimate_w * (1.0 - self.neutrality_margin)
-        neutral = (usable * 60.0 / self.detection_energy_j
-                   if usable > 0 else 0.0)
-        rate = min(self.max_rate_per_min, max(self.min_rate_per_min, neutral))
-        return PolicyDecision(rate, mode)
-
-
-class EwmaForecastPolicy(_SocBandedPolicy):
+class EwmaForecastPolicy:
     """Energy-neutral rate priced against an EWMA harvest forecast.
 
     Same SoC hysteresis bands as ``energy_aware``, but the neutral
@@ -235,22 +180,18 @@ class EwmaForecastPolicy(_SocBandedPolicy):
         detection_energy_j: energy of one detection.
         alpha: EWMA smoothing factor in (0, 1]; 1 reduces to the
             instantaneous policy.
-        min_rate_per_min / max_rate_per_min / low_soc / high_soc /
-        neutrality_margin: as in
+        **band: the band thresholds, as in
             :class:`~repro.core.manager.ManagerPolicy`.
     """
 
     def __init__(self, detection_energy_j: float, alpha: float = 0.25,
-                 min_rate_per_min: float = 1.0,
-                 max_rate_per_min: float = 24.0,
-                 low_soc: float = 0.15, high_soc: float = 0.85,
-                 neutrality_margin: float = 0.05) -> None:
+                 **band: float) -> None:
         if not 0.0 < alpha <= 1.0:
             raise SpecError(
                 f"ewma_forecast alpha must lie in (0, 1], got {alpha!r}")
-        super().__init__("ewma_forecast", detection_energy_j,
-                         min_rate_per_min, max_rate_per_min,
-                         low_soc, high_soc, neutrality_margin)
+        self._band = _band_manager("ewma_forecast", detection_energy_j, band)
+        self.detection_energy_j = detection_energy_j
+        self.max_rate_per_min = self._band.policy.max_rate_per_min
         self.alpha = alpha
         self._forecast_w: float | None = None
 
@@ -271,11 +212,13 @@ class EwmaForecastPolicy(_SocBandedPolicy):
             forecast = (self.alpha * obs.harvest_power_w
                         + (1.0 - self.alpha) * previous)
         self._forecast_w = forecast
-        return self._banded_decision(obs.state_of_charge, forecast,
-                                     "forecast")
+        rate, regime = self._band.rate_and_regime(forecast,
+                                                  obs.state_of_charge)
+        return PolicyDecision(rate,
+                              "forecast" if regime == "neutral" else regime)
 
 
-class OracleLookaheadPolicy(_SocBandedPolicy):
+class OracleLookaheadPolicy:
     """Spends against the mean harvest of a future timeline window.
 
     A clairvoyant planner: at build time it prices every timeline
@@ -292,24 +235,20 @@ class OracleLookaheadPolicy(_SocBandedPolicy):
         timeline: the environment the run will be driven with.
         harvester: the chain pricing each segment's battery intake.
         lookahead_s: how far ahead the oracle averages.
-        min_rate_per_min / max_rate_per_min / low_soc / high_soc /
-        neutrality_margin: as in
+        **band: the band thresholds, as in
             :class:`~repro.core.manager.ManagerPolicy`.
     """
 
     def __init__(self, detection_energy_j: float, timeline, harvester,
-                 lookahead_s: float = 6 * 3600.0,
-                 min_rate_per_min: float = 1.0,
-                 max_rate_per_min: float = 24.0,
-                 low_soc: float = 0.15, high_soc: float = 0.85,
-                 neutrality_margin: float = 0.05) -> None:
-        if lookahead_s <= 0:
+                 lookahead_s: float = 6 * 3600.0, **band: float) -> None:
+        if not 0.0 < lookahead_s < math.inf:
             raise SpecError(
-                f"oracle_lookahead lookahead_s must be positive, "
-                f"got {lookahead_s!r}")
-        super().__init__("oracle_lookahead", detection_energy_j,
-                         min_rate_per_min, max_rate_per_min,
-                         low_soc, high_soc, neutrality_margin)
+                f"oracle_lookahead lookahead_s must be positive and "
+                f"finite, got {lookahead_s!r}")
+        self._band = _band_manager("oracle_lookahead", detection_energy_j,
+                                   band)
+        self.detection_energy_j = detection_energy_j
+        self.max_rate_per_min = self._band.policy.max_rate_per_min
         self.lookahead_s = lookahead_s
         # Price every segment once; prefix sums make any window mean
         # two lookups.
@@ -346,9 +285,10 @@ class OracleLookaheadPolicy(_SocBandedPolicy):
         return window_j / self.lookahead_s
 
     def decide(self, obs: PowerObservation) -> PolicyDecision:
-        return self._banded_decision(obs.state_of_charge,
-                                     self.mean_harvest_w(obs.time_s),
-                                     "oracle")
+        rate, regime = self._band.rate_and_regime(
+            self.mean_harvest_w(obs.time_s), obs.state_of_charge)
+        return PolicyDecision(rate,
+                              "oracle" if regime == "neutral" else regime)
 
 
 # --- registered factories ----------------------------------------------------
@@ -356,25 +296,15 @@ class OracleLookaheadPolicy(_SocBandedPolicy):
 # Signature contract (see repro.scenarios.registry):
 #   POLICIES: (params: Mapping, context: PolicyContext) -> Policy
 
-_BAND_DEFAULTS: dict[str, Any] = {
-    "min_rate_per_min": 1.0,
-    "max_rate_per_min": 24.0,
-    "low_soc": 0.15,
-    "high_soc": 0.85,
-    "neutrality_margin": 0.05,
-}
+_BAND_DEFAULTS: dict[str, Any] = dataclasses.asdict(ManagerPolicy())
 
 
 @register_policy("energy_aware")
 def _build_energy_aware(params: Mapping[str, Any],
                         context: PolicyContext) -> EnergyAwarePolicy:
     merged = _merge_params("energy_aware", params, _BAND_DEFAULTS)
-    try:
-        thresholds = ManagerPolicy(**merged)
-    except ConfigurationError as exc:
-        raise SpecError(f"bad energy_aware policy params: {exc}") from None
-    return EnergyAwarePolicy(
-        EnergyAwareManager(context.detection_energy_j, thresholds))
+    return EnergyAwarePolicy(_band_manager(
+        "energy_aware", context.detection_energy_j, merged))
 
 
 @register_policy("static_duty_cycle")

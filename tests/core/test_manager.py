@@ -34,6 +34,15 @@ class TestPolicyValidation:
         with pytest.raises(ConfigurationError):
             ManagerPolicy(min_rate_per_min=0.0, max_rate_per_min=0.0)
 
+    @pytest.mark.parametrize("rates", [
+        {"min_rate_per_min": float("nan")},
+        {"max_rate_per_min": float("inf")},
+        {"min_rate_per_min": float("inf"), "max_rate_per_min": float("inf")},
+    ])
+    def test_rejects_non_finite_rates(self, rates):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ManagerPolicy(**rates)
+
     def test_rejects_soc_band_outside_unit_interval(self):
         with pytest.raises(ConfigurationError):
             ManagerPolicy(low_soc=-0.1)

@@ -1,10 +1,15 @@
 """Built-in policies: semantics, validation edges, engine integration."""
 
+import json
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import DaySimulation
 from repro.core.manager import EnergyAwareManager, ManagerPolicy
-from repro.errors import SpecError
+from repro.errors import ConfigurationError, SpecError
 from repro.harvest.environment import (
     DARKNESS,
     EnvironmentSample,
@@ -73,6 +78,13 @@ class TestStaticDutyCycle:
     def test_negative_rate_rejected(self):
         with pytest.raises(SpecError, match="negative"):
             StaticDutyCyclePolicy(rate_per_min=-1.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        """An infinite rate used to build and then die mid-run with an
+        OverflowError; NaN built too."""
+        with pytest.raises(SpecError, match="finite"):
+            StaticDutyCyclePolicy(rate_per_min=rate)
 
     def test_simulation_holds_the_rate(self):
         timeline = EnvironmentTimeline([
@@ -144,6 +156,8 @@ class TestEwmaForecast:
         {"min_rate_per_min": 30.0, "max_rate_per_min": 24.0},
         {"low_soc": 0.9, "high_soc": 0.2},
         {"neutrality_margin": 1.0},
+        {"min_rate_per_min": math.nan},
+        {"max_rate_per_min": math.inf},
     ])
     def test_bad_params_rejected(self, bad):
         with pytest.raises(SpecError):
@@ -233,6 +247,40 @@ class TestRegisteredFactories:
             build_policy(PolicySpec(name="ewma_forecast",
                                     params={"alpha": True}), context)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       10 ** 400],
+                             ids=["nan", "inf", "-inf", "int_past_float"])
+    @pytest.mark.parametrize("name,knob", [
+        ("energy_aware", "min_rate_per_min"),
+        ("energy_aware", "max_rate_per_min"),
+        ("energy_aware", "low_soc"),
+        ("energy_aware", "high_soc"),
+        ("energy_aware", "neutrality_margin"),
+        ("static_duty_cycle", "rate_per_min"),
+        ("ewma_forecast", "alpha"),
+        ("ewma_forecast", "max_rate_per_min"),
+        ("oracle_lookahead", "lookahead_s"),
+        ("oracle_lookahead", "min_rate_per_min"),
+    ])
+    def test_non_finite_param_rejected_with_knob_name(self, name, knob,
+                                                      value):
+        """NaN, +/-inf (and integers past the float range, which JSON
+        can carry) fail at build time with the knob named, instead of
+        building a policy that runs silently at the ceiling or dies
+        mid-run with an OverflowError."""
+        context = PolicyContext(detection_energy_j=DETECTION_J,
+                                timeline=sun_after_darkness(),
+                                harvester=build_harvester())
+        with pytest.raises(SpecError, match=f"{knob}.*must be finite"):
+            build_policy(PolicySpec(name=name, params={knob: value}),
+                         context)
+
+    def test_nan_parsed_from_json_is_rejected_at_build(self):
+        spec = PolicySpec.from_dict(json.loads(
+            '{"name": "energy_aware", "params": {"min_rate_per_min": NaN}}'))
+        with pytest.raises(SpecError, match="min_rate_per_min"):
+            build_policy(spec, PolicyContext(detection_energy_j=DETECTION_J))
+
     def test_oracle_without_timeline_context_is_explained(self):
         context = PolicyContext(detection_energy_j=DETECTION_J)
         with pytest.raises(SpecError, match="timeline"):
@@ -278,6 +326,21 @@ class TestEngineIntegration:
         assert via_policy.manager is manager
         assert via_policy.app is None  # no default app built either way
         assert via_policy.run() == explicit.run()
+
+    def test_only_energy_aware_exposes_a_manager(self):
+        """The banded policies share the manager's band internally, but
+        only energy_aware wraps one as DaySimulation.manager."""
+        timeline = sun_after_darkness()
+        banded = (EwmaForecastPolicy(DETECTION_J),
+                  OracleLookaheadPolicy(DETECTION_J, timeline,
+                                        build_harvester()))
+        for policy in banded:
+            sim = DaySimulation(timeline, policy=policy, step_s=600.0)
+            assert sim.manager is None, type(policy).__name__
+        manager = EnergyAwareManager(DETECTION_J)
+        sim = DaySimulation(timeline, policy=EnergyAwarePolicy(manager),
+                            step_s=600.0)
+        assert sim.manager is manager
 
     def test_unrelated_manager_attribute_is_not_duck_typed(self):
         """A third-party policy whose `manager` attribute is not an
@@ -328,3 +391,107 @@ class TestEngineIntegration:
         result = sim.run()
         assert all(step.detection_rate_per_min == 6.0
                    for step in result.steps)
+
+
+def _reference_band(p: ManagerPolicy, detection_j: float,
+                    harvest_w: float, soc: float) -> float:
+    """The SoC band exactly as ``_SocBandedPolicy._banded_decision``
+    spelled it before the band moved into the manager: the neutral
+    guard tests ``usable > 0`` where the manager tests ``harvest <= 0``.
+    Kept as the reference that both live forms are pinned against."""
+    if soc < p.low_soc:
+        return p.min_rate_per_min
+    if soc > p.high_soc:
+        return p.max_rate_per_min
+    usable = harvest_w * (1.0 - p.neutrality_margin)
+    neutral = usable * 60.0 / detection_j if usable > 0 else 0.0
+    return min(p.max_rate_per_min, max(p.min_rate_per_min, neutral))
+
+
+_MARGINS = (0.0, 1e-300, 0.05, 0.5, 0.999999, math.nextafter(1.0, 0.0))
+_RATE_RANGES = ((1.0, 24.0), (0.0, 1e6), (3.0, 3.0))
+_SOC_BANDS = ((0.15, 0.85), (0.0, 1.0), (0.3, 0.300000001))
+_EDGE_HARVESTS = (0.0, -0.0, 5e-324, 1e-310, -1e-4, math.inf, 1e-9, 1e-6,
+                  2.4e-4, 1e-3, 0.05, 1.0)
+
+
+def _edge_socs(low: float, high: float) -> list[float]:
+    """Both thresholds, their +/-1 ulp neighbours, the unit ends and
+    the middle of the band, clipped to [0, 1]."""
+    socs = {0.0, 1.0, (low + high) / 2}
+    for threshold in (low, high):
+        socs.update((math.nextafter(threshold, -1.0), threshold,
+                     math.nextafter(threshold, 2.0)))
+    return sorted(s for s in socs if 0.0 <= s <= 1.0)
+
+
+class TestOneBand:
+    """The floor / ceiling / energy-neutral band has one scalar form
+    (``EnergyAwareManager.detection_rate_per_min``) and one mask form
+    (what ``EnergyAwarePolicy.decide_batch`` runs); the forecast
+    policies only choose the power estimate fed to it.  All of them
+    equal the reference band under ``==``, no tolerance."""
+
+    @pytest.mark.parametrize("margin", _MARGINS)
+    @pytest.mark.parametrize("rates", _RATE_RANGES)
+    @pytest.mark.parametrize("band", _SOC_BANDS)
+    def test_scalar_mask_and_reference_agree_bitwise(self, margin, rates,
+                                                     band):
+        p = ManagerPolicy(min_rate_per_min=rates[0],
+                          max_rate_per_min=rates[1], low_soc=band[0],
+                          high_soc=band[1], neutrality_margin=margin)
+        manager = EnergyAwareManager(DETECTION_J, p)
+        # alpha=1 makes the forecast the observed harvest itself, so the
+        # forecast policy runs the band on the instantaneous power.
+        forecast = EwmaForecastPolicy(DETECTION_J, alpha=1.0,
+                                      min_rate_per_min=rates[0],
+                                      max_rate_per_min=rates[1],
+                                      low_soc=band[0], high_soc=band[1],
+                                      neutrality_margin=margin)
+        points = [(h, s) for h in _EDGE_HARVESTS
+                  for s in _edge_socs(*band)]
+        harvest = np.array([h for h, _ in points])
+        soc = np.array([s for _, s in points])
+        masked = EnergyAwarePolicy(manager).decide_batch(0.0, 60.0,
+                                                         harvest, soc)
+        for (h, s), from_mask in zip(points, masked.tolist()):
+            expected = _reference_band(p, DETECTION_J, h, s)
+            assert manager.detection_rate_per_min(h, s) == expected, (h, s)
+            assert from_mask == expected, (h, s)
+            forecast.reset()
+            assert forecast.decide(obs(h, s)).detection_rate_per_min \
+                == expected, (h, s)
+
+    @pytest.mark.parametrize("soc", [math.nan, -1e-12, 1.5, -math.inf])
+    def test_scalar_and_mask_reject_the_same_soc(self, soc):
+        policy = EnergyAwarePolicy(EnergyAwareManager(DETECTION_J))
+        with pytest.raises(ConfigurationError, match="state of charge"):
+            policy.decide(obs(1e-4, soc))
+        with pytest.raises(ConfigurationError, match="state of charge"):
+            policy.decide_batch(0.0, 60.0, np.array([1e-4, 1e-4]),
+                                np.array([0.5, soc]))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(low=st.floats(0.0, 0.99), width=st.floats(1e-6, 1.0),
+           min_rate=st.floats(0.0, 50.0), span=st.floats(0.0, 50.0),
+           margin=st.floats(0.0, 0.999),
+           harvest=st.lists(st.one_of(st.floats(-1e-3, 1e-2),
+                                      st.sampled_from(_EDGE_HARVESTS)),
+                            min_size=1, max_size=24),
+           soc_seed=st.lists(st.floats(0.0, 1.0), min_size=24, max_size=24))
+    def test_energy_aware_batch_equals_decide(self, low, width, min_rate,
+                                              span, margin, harvest,
+                                              soc_seed):
+        high = min(1.0, low + width)
+        max_rate = min_rate + span if min_rate + span > 0 else 1.0
+        context = PolicyContext(detection_energy_j=DETECTION_J)
+        policy = build_policy(PolicySpec(name="energy_aware", params={
+            "min_rate_per_min": min_rate, "max_rate_per_min": max_rate,
+            "low_soc": low, "high_soc": high,
+            "neutrality_margin": margin}), context)
+        socs = soc_seed[:len(harvest)]
+        batch = policy.decide_batch(0.0, 60.0, np.array(harvest),
+                                    np.array(socs))
+        assert batch.tolist() == [
+            policy.decide(obs(h, s)).detection_rate_per_min
+            for h, s in zip(harvest, socs)]
