@@ -16,7 +16,7 @@ Run with::
     python examples/policy_search.py
 """
 
-from repro.policies import PolicyGrid, PowerObservation
+from repro.policies import PolicyGrid
 from repro.scenarios import ScenarioRunner, build_policy, get_scenario
 from repro.scenarios.spec import PolicySpec
 
@@ -33,12 +33,9 @@ def main() -> None:
     # 1. A single decision, by hand: what would the paper's policy do
     #    with 100 uW of harvest and a half-full battery?
     policy = build_policy(PolicySpec())  # default energy_aware
-    decision = policy.decide(PowerObservation(
-        time_s=0.0, step_s=300.0, harvest_power_w=100e-6,
-        state_of_charge=0.5))
-    print(f"energy_aware at 100 uW, SoC 50%: "
-          f"{decision.detection_rate_per_min:.1f} detections/min "
-          f"({decision.mode})")
+    rate = policy.decide(time_s=0.0, step_s=300.0, harvest_power_w=100e-6,
+                         state_of_charge=0.5)
+    print(f"energy_aware at 100 uW, SoC 50%: {rate:.1f} detections/min")
 
     # 2. The full grid over two very different days.
     runner = ScenarioRunner(workers=4, backend="process")

@@ -21,8 +21,9 @@ Subpackages
 - :mod:`repro.features` — HRV and GSR feature extraction.
 - :mod:`repro.core` — the InfiniWolf device/application/sustainability
   models and the day-in-the-life simulator.
-- :mod:`repro.policies` — pluggable power-manager policies behind a
-  typed observation -> decision protocol, plus policy grid search.
+- :mod:`repro.policies` — pluggable power-manager policies behind one
+  call, ``decide(time_s, step_s, harvest_power_w, state_of_charge) ->
+  rate``, plus policy grid search.
 - :mod:`repro.scenarios` — the declarative scenario API: serializable
   specs, component registries, the spec->system builder, the built-in
   scenario library and the parallel batch runner.

@@ -14,8 +14,9 @@ the real smart power unit implements.
 
 This module is the only place the band is written: its thresholds are
 validated and defaulted once, by :class:`ManagerPolicy`, and the rule
-exists once as a scalar (:meth:`EnergyAwareManager.rate_and_regime`)
-and once as a mask over per-wearer arrays
+exists once as a scalar
+(:meth:`EnergyAwareManager.detection_rate_per_min`) and once as a mask
+over per-wearer arrays
 (:meth:`EnergyAwareManager.detection_rates_per_min`).  The banded
 built-ins of :mod:`repro.policies.library` (``energy_aware``,
 ``ewma_forecast``, ``oracle_lookahead``) differ only in the power
@@ -104,8 +105,10 @@ class EnergyAwareManager:
 
     def __init__(self, detection_energy_j: float,
                  policy: ManagerPolicy | None = None) -> None:
-        if detection_energy_j <= 0:
-            raise ConfigurationError("detection energy must be positive")
+        if not 0.0 < detection_energy_j < math.inf:
+            raise ConfigurationError(
+                f"detection energy must be positive and finite, got "
+                f"{detection_energy_j!r}")
         self.detection_energy_j = detection_energy_j
         self.policy = policy if policy is not None else ManagerPolicy()
 
@@ -113,33 +116,33 @@ class EnergyAwareManager:
         """Detection rate that exactly spends the harvest power.
 
         Applies the policy's safety margin; unclamped (the neutral
-        regime of :meth:`rate_and_regime` clamps it to the band).
+        regime of :meth:`detection_rate_per_min` clamps it to the band).
         """
         if harvest_power_w <= 0:
             return 0.0
         usable = harvest_power_w * (1.0 - self.policy.neutrality_margin)
         return usable * 60.0 / self.detection_energy_j
 
-    def rate_and_regime(self, harvest_power_w: float,
-                        state_of_charge: float) -> tuple[float, str]:
-        """The band, scalar form: the chosen rate and its regime name.
+    def detection_rate_per_min(self, harvest_power_w: float,
+                               state_of_charge: float) -> float:
+        """The band, scalar form: the chosen rate for one reading.
 
         Three regimes:
 
-        * ``"starving"`` (SoC below ``low_soc``): floor rate,
-          regardless of the harvest estimate;
-        * ``"abundant"`` (SoC above ``high_soc``): ceiling rate — the
-          buffer is full, spend the surplus on detections;
-        * ``"neutral"``: the energy-neutral rate, clamped to the
-          policy's floor and ceiling.
+        * starving (SoC below ``low_soc``): floor rate, regardless of
+          the harvest estimate;
+        * abundant (SoC above ``high_soc``): ceiling rate — the buffer
+          is full, spend the surplus on detections;
+        * neutral: the energy-neutral rate, clamped to the policy's
+          floor and ceiling.
         """
         if not 0.0 <= state_of_charge <= 1.0:
             raise ConfigurationError("state of charge must lie in [0, 1]")
         p = self.policy
         if state_of_charge < p.low_soc:
-            return p.min_rate_per_min, "starving"
+            return p.min_rate_per_min
         if state_of_charge > p.high_soc:
-            return p.max_rate_per_min, "abundant"
+            return p.max_rate_per_min
         # energy_neutral_rate_per_min, inlined: this line runs once per
         # decision of every banded policy on the scalar engine.
         if harvest_power_w <= 0:
@@ -147,13 +150,7 @@ class EnergyAwareManager:
         else:
             neutral = (harvest_power_w * (1.0 - p.neutrality_margin)
                        * 60.0 / self.detection_energy_j)
-        return (min(p.max_rate_per_min, max(p.min_rate_per_min, neutral)),
-                "neutral")
-
-    def detection_rate_per_min(self, harvest_power_w: float,
-                               state_of_charge: float) -> float:
-        """The policy's chosen rate for the current conditions."""
-        return self.rate_and_regime(harvest_power_w, state_of_charge)[0]
+        return min(p.max_rate_per_min, max(p.min_rate_per_min, neutral))
 
     def detection_rates_per_min(self, harvest_power_w: np.ndarray,
                                 state_of_charge: np.ndarray) -> np.ndarray:

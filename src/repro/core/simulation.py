@@ -2,8 +2,8 @@
 
 Steps the system over an environment timeline: each step harvests into
 the battery through the harvesting chain, asks the power policy for a
-detection rate (a :class:`repro.policies.base.PowerObservation` in, a
-:class:`~repro.policies.base.PolicyDecision` out), charges the battery
+detection rate (:meth:`repro.policies.base.Policy.decide`: time, step,
+intake and state of charge in, a rate out), charges the battery
 for every detection executed, and records a trace (state of charge,
 intake, rate, detections) for the ablation benches and examples.
 
@@ -25,6 +25,7 @@ summary totals on :class:`SimulationResult` are exact in every mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -203,7 +204,8 @@ class DaySimulation:
         battery: storage (defaults to the 120 mAh cell at 50 %).
         policy: the decision-maker: a
             :class:`repro.policies.base.Policy` protocol object
-            (anything with ``max_rate_per_min`` and ``decide(obs)``).
+            (anything with ``max_rate_per_min`` and
+            ``decide(time_s, step_s, harvest_power_w, state_of_charge)``).
             Defaults to the paper-shaped energy-aware policy.  Custom
             thresholds are spelled
             ``EnergyAwarePolicy(EnergyAwareManager(E, thresholds))``;
@@ -249,11 +251,15 @@ class DaySimulation:
             raise SimulationError("sleep power cannot be negative")
         if duration_s is not None and duration_s <= 0:
             raise SimulationError("default duration must be positive")
-        if detection_energy_j is not None and detection_energy_j <= 0:
-            raise SimulationError("detection energy must be positive")
+        if detection_energy_j is not None and not (
+                0.0 < detection_energy_j < math.inf):
+            raise SimulationError(
+                f"detection energy must be positive and finite, got "
+                f"{detection_energy_j!r}")
         if policy is not None and not hasattr(policy, "decide"):
             raise SimulationError(
-                f"policy must implement decide(obs), got "
+                f"policy must implement decide(time_s, step_s, "
+                f"harvest_power_w, state_of_charge), got "
                 f"{type(policy).__name__}; wrap manager thresholds as "
                 "EnergyAwarePolicy(EnergyAwareManager(E, thresholds))")
         # A policy wrapping a pre-built manager (EnergyAwarePolicy does)
@@ -319,10 +325,6 @@ class DaySimulation:
                    if duration_s is None else duration_s)
         if horizon <= 0:
             raise SimulationError("simulation horizon must be positive")
-        # Deferred import (see __init__): the policies package builds
-        # on the construction layer, which imports this module.
-        from repro.policies.base import PowerObservation
-
         battery = self.battery
         policy = self.policy
         reset = getattr(policy, "reset", None)
@@ -394,13 +396,12 @@ class DaySimulation:
 
             # The policy observes the *effective* intake: an occluded
             # harvester looks like a dark segment, not a healthy one.
-            rate = decide(PowerObservation(
-                time_s=t,
-                step_s=dt,
-                harvest_power_w=intake_w,
-                state_of_charge=battery.state_of_charge,
-            )).detection_rate_per_min
-            if not rate >= 0.0:  # rejects negatives and NaN alike
+            rate = decide(t, dt, intake_w, battery.state_of_charge)
+            try:
+                valid = rate >= 0.0  # False for negatives and NaN alike
+            except TypeError:  # not a number (None, an object, ...)
+                valid = False
+            if not valid:
                 raise SimulationError(
                     f"policy {type(policy).__name__} returned an invalid "
                     f"detection rate {rate!r} at t={t:.0f}s")

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.errors import SpecError
 from repro.learn.spec import DatasetSpec
-from repro.policies.base import PolicyDecision, PowerObservation
 from repro.policies.learned import FEATURE_NAMES, extract_features
 from repro.scenarios.spec import canonical_json
 from repro.shard import check_members, check_partition, check_shard, members
@@ -40,11 +39,11 @@ DATASET_VERSION = 1
 
 @dataclass(frozen=True)
 class Sample:
-    """One supervision pair: observation features -> oracle rate fraction.
+    """One supervision pair: ``decide`` features -> oracle rate fraction.
 
     Attributes:
         wearer: 0-based wearer index in the fleet.
-        time_s: simulation time of the observation.
+        time_s: simulation time of the decision step.
         features: the feature vector, in ``FEATURE_NAMES`` order.
         target: the oracle's rate divided by its ceiling, in [0, 1].
     """
@@ -96,20 +95,22 @@ class RecordingPolicy:
             reset()
         self._calls = 0
 
-    def decide(self, obs: PowerObservation) -> PolicyDecision:
-        decision = self.inner.decide(obs)
+    def decide(self, time_s: float, step_s: float, harvest_power_w: float,
+               state_of_charge: float) -> float:
+        rate = self.inner.decide(time_s, step_s, harvest_power_w,
+                                 state_of_charge)
         if self._calls % self.stride == 0:
             ceiling = self.inner.max_rate_per_min
-            fraction = min(max(
-                decision.detection_rate_per_min / ceiling, 0.0), 1.0)
+            fraction = min(max(rate / ceiling, 0.0), 1.0)
             self.samples.append(Sample(
                 wearer=self.wearer,
-                time_s=obs.time_s,
-                features=extract_features(obs),
+                time_s=time_s,
+                features=extract_features(time_s, step_s, harvest_power_w,
+                                          state_of_charge),
                 target=fraction,
             ))
         self._calls += 1
-        return decision
+        return rate
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Pluggable power-manager policies and policy grid search.
 
 The decision-making layer of the day-in-the-life simulation, split out
-of the engine behind a typed observation -> decision protocol:
+of the engine behind one call shape,
+``decide(time_s, step_s, harvest_power_w, state_of_charge) -> rate``
+(and its element-wise array twin ``decide_batch``):
 
-* :mod:`repro.policies.base` — :class:`PowerObservation`,
-  :class:`PolicyDecision`, the :class:`Policy` protocol and the
+* :mod:`repro.policies.base` — the :class:`Policy` protocol and the
   build-time :class:`PolicyContext`;
 * :mod:`repro.policies.library` — the built-in policies
   (``energy_aware``, ``static_duty_cycle``, ``ewma_forecast``,
@@ -28,12 +29,7 @@ Third-party policies plug in exactly like other components::
         return MyPolicy(context.detection_energy_j, **params)
 """
 
-from repro.policies.base import (
-    Policy,
-    PolicyContext,
-    PolicyDecision,
-    PowerObservation,
-)
+from repro.policies.base import Policy, PolicyContext
 from repro.policies.library import (
     EnergyAwarePolicy,
     EwmaForecastPolicy,
@@ -61,8 +57,6 @@ from repro.policies.grid import (
 __all__ = [
     "Policy",
     "PolicyContext",
-    "PolicyDecision",
-    "PowerObservation",
     "EnergyAwarePolicy",
     "EwmaForecastPolicy",
     "OracleLookaheadPolicy",

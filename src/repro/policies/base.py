@@ -1,4 +1,4 @@
-"""The observation -> decision protocol every power policy implements.
+"""The one call shape every power policy implements.
 
 The paper's power manager "opportunistically take[s] advantage of
 periods of overabundant energy and survive[s] intervals when the
@@ -6,14 +6,12 @@ system is starving".  This module defines the *shape* of any such
 manager, so the day-in-the-life engine can step arbitrary policies
 without knowing their internals:
 
-* :class:`PowerObservation` — what the policy is allowed to see each
-  step (battery state of charge, recent harvest power, time of day,
-  step duration).  Frozen, so a decision can never mutate its inputs.
-* :class:`PolicyDecision` — what the policy answers: the detection
-  rate for the coming step, plus an optional operating-mode hint.
-* :class:`Policy` — the structural protocol: ``decide(obs)`` plus a
-  ``max_rate_per_min`` ceiling the engine uses to cap per-step
+* :class:`Policy` — the structural protocol:
+  ``decide(time_s, step_s, harvest_power_w, state_of_charge) -> rate``
+  plus a ``max_rate_per_min`` ceiling the engine uses to cap per-step
   execution (a brown-out backlog can never replay above it).
+* :class:`BatchPolicy` — the optional ``decide_batch`` hook: the same
+  signature, element-wise over per-wearer arrays.
 * :class:`PolicyContext` — build-time facts a policy factory may need
   (per-detection energy, the environment timeline for lookahead
   policies, the harvesting chain).
@@ -22,85 +20,67 @@ Policies that keep per-run state (forecasts, counters) should expose a
 ``reset()`` method; the engine calls it at the start of every run so a
 reused simulation object stays deterministic.
 
+One call and its batch twin on the same inputs:
+
+>>> import numpy as np
+>>> from repro.scenarios import PolicySpec, build_policy
+>>> policy = build_policy(PolicySpec("energy_aware"),
+...                       PolicyContext(detection_energy_j=570e-6))
+>>> policy.decide(0.0, 60.0, 1e-4, 0.5)
+10.0
+>>> policy.decide_batch(0.0, 60.0, np.array([1e-4]), np.array([0.5])).tolist()
+[10.0]
+
 This module deliberately imports nothing from :mod:`repro.core` or
 :mod:`repro.scenarios` — it is the shared vocabulary both layers speak.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
-from repro.units import SECONDS_PER_DAY
 
 __all__ = [
-    "PowerObservation",
-    "PolicyDecision",
     "Policy",
     "BatchPolicy",
     "PolicyContext",
 ]
 
 
-@dataclass(frozen=True)
-class PowerObservation:
-    """Everything a policy may observe at one decision point.
-
-    Attributes:
-        time_s: simulation time at the start of the step.
-        step_s: duration of the coming step.
-        harvest_power_w: net battery intake during the step (the
-            environment is piecewise-constant, so "recent" and
-            "current" harvest coincide within a segment).
-        state_of_charge: battery state of charge in [0, 1], read after
-            the step's harvest was banked.
-    """
-
-    time_s: float
-    step_s: float
-    harvest_power_w: float
-    state_of_charge: float
-
-    @property
-    def time_of_day_s(self) -> float:
-        """Seconds since the most recent midnight of the simulation."""
-        return self.time_s % SECONDS_PER_DAY
-
-
-@dataclass(frozen=True)
-class PolicyDecision:
-    """A policy's answer for one step.
-
-    Attributes:
-        detection_rate_per_min: stress detections per minute to run
-            during the step.  The engine clamps it to the policy's own
-            ``max_rate_per_min`` and rejects negative/NaN rates.
-        mode: optional free-form operating-mode hint ("starving",
-            "abundant", ...) for reports and debugging; the engine
-            never interprets it.
-    """
-
-    detection_rate_per_min: float
-    mode: str = ""
-
-
 @runtime_checkable
 class Policy(Protocol):
     """Structural protocol for pluggable power-manager policies.
 
-    Anything with a ``max_rate_per_min`` ceiling and a
-    ``decide(obs) -> PolicyDecision`` method is a policy; no
-    inheritance required.  Stateful policies may additionally expose
-    ``reset()``, called by the engine at the start of each run, and
-    batchable policies may expose ``decide_batch`` (see
-    :class:`BatchPolicy`) so the vectorized fleet engine can decide
-    for a whole population in one call.
+    Anything with a ``max_rate_per_min`` ceiling and a ``decide``
+    method of this signature is a policy; no inheritance required.
+    Stateful policies may additionally expose ``reset()``, called by
+    the engine at the start of each run, and batchable policies may
+    expose ``decide_batch`` (see :class:`BatchPolicy`) so the
+    vectorized fleet engine can decide for a whole population in one
+    call.
+
+    ``decide`` is called once per step with:
+
+    * ``time_s`` — simulation time at the start of the step;
+    * ``step_s`` — duration of the coming step;
+    * ``harvest_power_w`` — the effective (fault-scaled) battery intake
+      during the step (the environment is piecewise-constant, so
+      "recent" and "current" harvest coincide within a segment);
+    * ``state_of_charge`` — battery state of charge in [0, 1], read
+      after the step's harvest was banked;
+
+    and returns the detections per minute to run during the step.  The
+    engine clamps the rate to ``max_rate_per_min`` and rejects a
+    negative, NaN or non-numeric one.
     """
 
     max_rate_per_min: float
 
-    def decide(self, obs: PowerObservation) -> PolicyDecision: ...
+    def decide(self, time_s: float, step_s: float, harvest_power_w: float,
+               state_of_charge: float) -> float: ...
 
 
 @runtime_checkable
@@ -110,19 +90,17 @@ class BatchPolicy(Policy, Protocol):
     The optional hook the vectorized fleet engine
     (:mod:`repro.fleet.vector`) dispatches on: policies exposing
     ``decide_batch`` step through the array engine, everything else
-    falls back to the per-wearer scalar loop.  The contract mirrors
-    :meth:`Policy.decide` element-wise:
+    falls back to the per-wearer scalar loop.  The contract is the
+    same signature as :meth:`Policy.decide`, element-wise:
 
     * ``harvest_power_w`` and ``state_of_charge`` are parallel float64
-      arrays, one entry per wearer — the same post-charge SoC and
-      effective (fault-scaled) intake a :class:`PowerObservation`
-      would carry; ``time_s``/``step_s`` are shared scalars (wearers
-      step in lockstep).
+      arrays, one entry per wearer; ``time_s``/``step_s`` are shared
+      scalars (wearers step in lockstep).
     * The return value is the per-wearer detection rate (an array
       broadcastable to the wearer count), and entry ``i`` must be
-      bit-for-bit the ``detection_rate_per_min`` that ``decide`` would
-      return for wearer ``i``'s observation — the scalar engine is the
-      oracle, and the differential harness asserts this equivalence.
+      bit-for-bit the rate ``decide`` would return for wearer ``i``'s
+      floats — the scalar engine is the oracle, and the differential
+      harness asserts this equivalence.
     * The engine drives one policy object per array pass:
       ``_simulate_chunk`` calls its ``reset()`` (when it has one) once
       at the start of the pass, then ``decide_batch`` once per step
@@ -158,8 +136,10 @@ class PolicyContext:
     harvester: object | None = None
 
     def __post_init__(self) -> None:
-        if self.detection_energy_j <= 0:
-            raise ConfigurationError("detection energy must be positive")
+        if not 0.0 < self.detection_energy_j < math.inf:
+            raise ConfigurationError(
+                f"detection energy must be positive and finite, got "
+                f"{self.detection_energy_j!r}")
         if self.sleep_power_w < 0:
             raise ConfigurationError("sleep power cannot be negative")
         if self.step_s <= 0:

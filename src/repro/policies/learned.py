@@ -5,10 +5,10 @@ The paper's InfiniWolf runs FANN-trained networks on-MCU; tinyMAN
 heuristics on harvesting wearables.  This module is the inference half
 of that idea — :mod:`repro.learn` is the training half:
 
-* :func:`extract_features` — the observation encoding both halves
-  share: time-of-day on the unit circle, state of charge, and harvest
-  power scaled to O(1).  Versioned, so a trained blob can never be
-  silently fed a different encoding.
+* :func:`extract_features` — the encoding of ``decide``'s floats both
+  halves share: time-of-day on the unit circle, state of charge, and
+  harvest power scaled to O(1).  Versioned, so a trained blob can never
+  be silently fed a different encoding.
 * :class:`LearnedPolicy` / :class:`LearnedQPolicy` — float and
   fixed-point (``repro.quant`` path) inference: the network's single
   sigmoid output is the fraction of ``max_rate_per_min`` to run.
@@ -36,7 +36,7 @@ from repro.errors import SpecError
 from repro.fann.activation import Activation
 from repro.fann.fixedpoint import FixedPointNetwork, convert_to_fixed
 from repro.fann.network import LayerSpec, MultiLayerPerceptron
-from repro.policies.base import PolicyContext, PolicyDecision, PowerObservation
+from repro.policies.base import PolicyContext
 from repro.scenarios.registry import POLICIES, register_policy
 from repro.units import SECONDS_PER_DAY
 
@@ -75,12 +75,17 @@ HARVEST_SCALE_W = 0.025
 TRAINED_POLICY_NAMES = frozenset({"learned", "learned_q"})
 
 
-def extract_features(obs: PowerObservation) -> tuple[float, ...]:
-    """The feature vector of one observation, in ``FEATURE_NAMES`` order."""
-    angle = 2.0 * math.pi * obs.time_of_day_s / SECONDS_PER_DAY
+def extract_features(time_s: float, step_s: float, harvest_power_w: float,
+                     state_of_charge: float) -> tuple[float, ...]:
+    """The feature vector of one ``decide`` call, in ``FEATURE_NAMES`` order.
+
+    Takes the policy protocol's four floats (``step_s`` is not a
+    feature); the time of day is ``time_s`` modulo one day.
+    """
+    angle = 2.0 * math.pi * (time_s % SECONDS_PER_DAY) / SECONDS_PER_DAY
     return (math.sin(angle), math.cos(angle),
-            obs.state_of_charge,
-            obs.harvest_power_w / HARVEST_SCALE_W)
+            state_of_charge,
+            harvest_power_w / HARVEST_SCALE_W)
 
 
 def default_policy_names() -> list[str]:
@@ -231,21 +236,23 @@ class LearnedPolicy:
         max_rate_per_min: the rate the output fraction scales to.
     """
 
-    mode = "learned"
-
     def __init__(self, network: MultiLayerPerceptron,
                  max_rate_per_min: float) -> None:
         self.network = network
         self.max_rate_per_min = float(max_rate_per_min)
 
-    def rate_fraction(self, obs: PowerObservation) -> float:
-        """The clamped network output in [0, 1] for one observation."""
-        out = self.network.forward(np.asarray(extract_features(obs)))
+    def rate_fraction(self, time_s: float, step_s: float,
+                      harvest_power_w: float,
+                      state_of_charge: float) -> float:
+        """The clamped network output in [0, 1] for one ``decide`` call."""
+        out = self.network.forward(np.asarray(extract_features(
+            time_s, step_s, harvest_power_w, state_of_charge)))
         return min(max(float(out[0]), 0.0), 1.0)
 
-    def decide(self, obs: PowerObservation) -> PolicyDecision:
-        return PolicyDecision(self.rate_fraction(obs) * self.max_rate_per_min,
-                              self.mode)
+    def decide(self, time_s: float, step_s: float, harvest_power_w: float,
+               state_of_charge: float) -> float:
+        return self.rate_fraction(time_s, step_s, harvest_power_w,
+                                  state_of_charge) * self.max_rate_per_min
 
 
 class LearnedQPolicy(LearnedPolicy):
@@ -260,8 +267,6 @@ class LearnedQPolicy(LearnedPolicy):
         fixed: the quantized network.
         max_rate_per_min: the rate the output fraction scales to.
     """
-
-    mode = "learned_q"
 
     def __init__(self, fixed: FixedPointNetwork,
                  max_rate_per_min: float) -> None:

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.core.manager import EnergyAwareManager, ManagerPolicy
 from repro.errors import ConfigurationError, SpecError
-from repro.policies.base import PolicyContext, PolicyDecision, PowerObservation
+from repro.policies.base import PolicyContext
 from repro.scenarios.registry import POLICIES, register_policy
 
 __all__ = [
@@ -122,9 +122,10 @@ class EnergyAwarePolicy:
     def max_rate_per_min(self) -> float:
         return self.manager.policy.max_rate_per_min
 
-    def decide(self, obs: PowerObservation) -> PolicyDecision:
-        return PolicyDecision(*self.manager.rate_and_regime(
-            obs.harvest_power_w, obs.state_of_charge))
+    def decide(self, time_s: float, step_s: float, harvest_power_w: float,
+               state_of_charge: float) -> float:
+        return self.manager.detection_rate_per_min(harvest_power_w,
+                                                   state_of_charge)
 
     def decide_batch(self, time_s: float, step_s: float,
                      harvest_power_w: np.ndarray,
@@ -157,8 +158,9 @@ class StaticDutyCyclePolicy:
         self.rate_per_min = rate_per_min
         self.max_rate_per_min = max(rate_per_min, 1.0)
 
-    def decide(self, obs: PowerObservation) -> PolicyDecision:
-        return PolicyDecision(self.rate_per_min, "static")
+    def decide(self, time_s: float, step_s: float, harvest_power_w: float,
+               state_of_charge: float) -> float:
+        return self.rate_per_min
 
     def decide_batch(self, time_s: float, step_s: float,
                      harvest_power_w: np.ndarray,
@@ -204,18 +206,16 @@ class EwmaForecastPolicy:
         """Forget the forecast (called by the engine at run start)."""
         self._forecast_w = None
 
-    def decide(self, obs: PowerObservation) -> PolicyDecision:
+    def decide(self, time_s: float, step_s: float, harvest_power_w: float,
+               state_of_charge: float) -> float:
         previous = self._forecast_w
         if previous is None:
-            forecast = obs.harvest_power_w
+            forecast = harvest_power_w
         else:
-            forecast = (self.alpha * obs.harvest_power_w
+            forecast = (self.alpha * harvest_power_w
                         + (1.0 - self.alpha) * previous)
         self._forecast_w = forecast
-        rate, regime = self._band.rate_and_regime(forecast,
-                                                  obs.state_of_charge)
-        return PolicyDecision(rate,
-                              "forecast" if regime == "neutral" else regime)
+        return self._band.detection_rate_per_min(forecast, state_of_charge)
 
 
 class OracleLookaheadPolicy:
@@ -284,11 +284,10 @@ class OracleLookaheadPolicy:
                     - self._energy_up_to(start_s))
         return window_j / self.lookahead_s
 
-    def decide(self, obs: PowerObservation) -> PolicyDecision:
-        rate, regime = self._band.rate_and_regime(
-            self.mean_harvest_w(obs.time_s), obs.state_of_charge)
-        return PolicyDecision(rate,
-                              "oracle" if regime == "neutral" else regime)
+    def decide(self, time_s: float, step_s: float, harvest_power_w: float,
+               state_of_charge: float) -> float:
+        return self._band.detection_rate_per_min(
+            self.mean_harvest_w(time_s), state_of_charge)
 
 
 # --- registered factories ----------------------------------------------------

@@ -21,9 +21,9 @@ script" into "name a scenario and run it":
   ``ScenarioRunner.run_grid`` policy grid search.
 
 Power policies live in their own subsystem, :mod:`repro.policies`
-(observation -> decision protocol, built-in policies, parameter
-grids); they share the ``POLICIES`` registry exported here, and
-importing this package registers the built-ins.
+(the ``decide`` protocol, built-in policies, parameter grids); they
+share the ``POLICIES`` registry exported here, and importing this
+package registers the built-ins.
 """
 
 from repro.scenarios.spec import (

@@ -43,9 +43,23 @@ __all__ = ["ReproServer", "ServerThread", "http_request", "run_smoke",
 #: Request bodies above this are rejected with 413 before parsing.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: A request header line longer than this (terminator included), or
+#: more header lines than :data:`MAX_HEADER_LINES`, is rejected with 431.
+MAX_HEADER_LINE_BYTES = 8 * 1024
+MAX_HEADER_LINES = 100
+
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error", 504: "Gateway Timeout"}
+
+
+def _error(status: int, message: str) -> ServeResponse:
+    """A ``{"error": message}`` JSON response (ASCII: ``json.dumps``
+    escapes everything else)."""
+    return ServeResponse(
+        status=status,
+        body=json.dumps({"error": message}).encode("ascii") + b"\n")
 
 
 def _render(response: ServeResponse) -> bytes:
@@ -155,10 +169,7 @@ class ReproServer:
             self.service.transport["client_disconnects"] += 1
             response = None
         except Exception as exc:  # noqa: BLE001 - last-resort 500
-            response = ServeResponse(
-                status=500,
-                body=json.dumps({"error": f"internal error: {exc}"})
-                .encode("ascii", "replace") + b"\n")
+            response = _error(500, f"internal error: {exc}")
         try:
             if response is not None:
                 writer.write(_render(response))
@@ -180,18 +191,25 @@ class ReproServer:
             raise ConnectionError("empty request")
         parts = request_line.split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            return ServeResponse(
-                status=400,
-                body=json.dumps({"error": "malformed request line"})
-                .encode("ascii") + b"\n")
+            return _error(400, "malformed request line")
         method, target = parts[0].upper(), parts[1]
         path = target.split("?", 1)[0]
 
         content_length = 0
+        header_lines = 0
         while True:
-            line = (await reader.readline()).decode("latin-1")
+            try:
+                raw_line = await reader.readline()
+            except ValueError:  # longer than the stream's buffer limit
+                raw_line = None
+            if raw_line is None or len(raw_line) > MAX_HEADER_LINE_BYTES:
+                return _error(431, "request header line too long")
+            line = raw_line.decode("latin-1")
             if line in ("\r\n", "\n", ""):
                 break
+            header_lines += 1
+            if header_lines > MAX_HEADER_LINES:
+                return _error(431, "too many request header lines")
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
                 try:
@@ -199,15 +217,9 @@ class ReproServer:
                 except ValueError:
                     content_length = -1
                 if content_length < 0:
-                    return ServeResponse(
-                        status=400,
-                        body=json.dumps({"error": "bad Content-Length"})
-                        .encode("ascii") + b"\n")
+                    return _error(400, "bad Content-Length")
         if content_length > MAX_BODY_BYTES:
-            return ServeResponse(
-                status=413,
-                body=json.dumps({"error": "request body too large"})
-                .encode("ascii") + b"\n")
+            return _error(413, "request body too large")
 
         body: Mapping[str, Any] | None = None
         if content_length > 0:
@@ -215,17 +227,10 @@ class ReproServer:
             try:
                 parsed = json.loads(raw)
             except (ValueError, RecursionError) as exc:  # too deep to parse
-                return ServeResponse(
-                    status=400,
-                    body=json.dumps({"error": f"invalid JSON body: {exc}"})
-                    .encode("ascii", "replace") + b"\n")
+                return _error(400, f"invalid JSON body: {exc}")
             body = parsed if isinstance(parsed, Mapping) else None
             if body is None and method == "POST":
-                return ServeResponse(
-                    status=400,
-                    body=json.dumps(
-                        {"error": "request body must be a JSON object"})
-                    .encode("ascii") + b"\n")
+                return _error(400, "request body must be a JSON object")
 
         # Simulations can take seconds; keep the loop free to accept
         # (and coalesce) concurrent requests while they run.
@@ -238,12 +243,8 @@ class ReproServer:
             return await asyncio.wait_for(work, self.request_timeout_s)
         except TimeoutError:
             self.service.transport["timeouts"] += 1
-            return ServeResponse(
-                status=504,
-                body=json.dumps(
-                    {"error": f"request timed out after "
-                              f"{self.request_timeout_s:g} s"})
-                .encode("ascii") + b"\n")
+            return _error(504, f"request timed out after "
+                               f"{self.request_timeout_s:g} s")
 
 
 class ServerThread:

@@ -105,11 +105,9 @@ class TestBrokenPolicyClassification:
         class NegativeRatePolicy:
             max_rate_per_min = 24.0
 
-            def decide(self, obs):
-                from repro.policies.base import PolicyDecision
-
-                return PolicyDecision(detection_rate_per_min=-5.0,
-                                      mode="broken")
+            def decide(self, time_s, step_s, harvest_power_w,
+                       state_of_charge):
+                return -5.0
 
         @register_policy("test_negative_energy")
         def _build(params, context):

@@ -1,5 +1,7 @@
 """Energy-aware power-manager policy tests."""
 
+import math
+
 import pytest
 
 from repro.core import EnergyAwareManager, ManagerPolicy
@@ -54,9 +56,12 @@ class TestPolicyValidation:
         with pytest.raises(ConfigurationError):
             ManagerPolicy(low_soc=0.5, high_soc=0.5)
 
-    def test_rejects_nonpositive_detection_energy(self):
-        with pytest.raises(ConfigurationError):
-            EnergyAwareManager(0.0)
+    @pytest.mark.parametrize("energy", [0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_nonpositive_or_non_finite_detection_energy(self, energy):
+        with pytest.raises(ConfigurationError,
+                           match="detection energy must be positive and "
+                                 "finite"):
+            EnergyAwareManager(energy)
 
 
 class TestEnergyNeutralRate:

@@ -1,5 +1,7 @@
 """Day-in-the-life simulation tests."""
 
+import math
+
 import pytest
 
 from repro.core import DaySimulation
@@ -60,6 +62,16 @@ class TestBasicRuns:
     def test_invalid_step_rejected(self):
         with pytest.raises(SimulationError):
             DaySimulation(office_day_timeline(), step_s=0.0)
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detection_energy_rejected_at_build(self, energy):
+        """A NaN energy used to build and then fail mid-run with a
+        misleading state-of-charge error."""
+        with pytest.raises(SimulationError,
+                           match="detection energy must be positive and "
+                                 "finite"):
+            DaySimulation(office_day_timeline(), detection_energy_j=energy,
+                          step_s=600.0)
 
 
 class TestEnergyBehaviour:

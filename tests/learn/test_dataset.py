@@ -8,7 +8,6 @@ import pytest
 from repro.errors import SpecError
 from repro.learn import Dataset, RecordingPolicy, Sample, generate_dataset
 from repro.learn.dataset import DATASET_KIND
-from repro.policies.base import PolicyDecision, PowerObservation
 from repro.policies.learned import FEATURE_NAMES
 
 from tests.learn.conftest import TINY_DATASET_SPEC
@@ -25,25 +24,24 @@ class _ConstantPolicy:
     def reset(self):
         self.resets += 1
 
-    def decide(self, obs):
-        return PolicyDecision(5.0, "stub")
+    def decide(self, time_s, step_s, harvest_power_w, state_of_charge):
+        return 5.0
 
 
 def _obs(t=0.0):
-    return PowerObservation(time_s=t, step_s=60.0, harvest_power_w=0.005,
-                            state_of_charge=0.8)
+    """The four ``decide`` arguments, in protocol order."""
+    return t, 60.0, 0.005, 0.8
 
 
 class TestRecordingPolicy:
     def test_transparent_delegation(self):
         recorder = RecordingPolicy(_ConstantPolicy(), wearer=0)
-        decision = recorder.decide(_obs())
-        assert decision == PolicyDecision(5.0, "stub")
+        assert recorder.decide(*_obs()) == 5.0
         assert recorder.max_rate_per_min == 10.0
 
     def test_records_normalized_target(self):
         recorder = RecordingPolicy(_ConstantPolicy(), wearer=3)
-        recorder.decide(_obs(t=120.0))
+        recorder.decide(*_obs(t=120.0))
         (sample,) = recorder.samples
         assert sample.wearer == 3
         assert sample.time_s == 120.0
@@ -53,16 +51,16 @@ class TestRecordingPolicy:
     def test_stride_skips_steps(self):
         recorder = RecordingPolicy(_ConstantPolicy(), wearer=0, stride=3)
         for step in range(7):
-            recorder.decide(_obs(t=60.0 * step))
+            recorder.decide(*_obs(t=60.0 * step))
         assert [s.time_s for s in recorder.samples] == [0.0, 180.0, 360.0]
 
     def test_reset_delegates_and_restarts_stride(self):
         inner = _ConstantPolicy()
         recorder = RecordingPolicy(inner, wearer=0, stride=2)
-        recorder.decide(_obs())
+        recorder.decide(*_obs())
         recorder.reset()
         assert inner.resets == 1
-        recorder.decide(_obs(t=60.0))
+        recorder.decide(*_obs(t=60.0))
         # The post-reset first call is recorded again (counter rewound).
         assert [s.time_s for s in recorder.samples] == [0.0, 60.0]
 

@@ -1,34 +1,11 @@
-"""Protocol vocabulary: observations, decisions, build context."""
+"""Protocol vocabulary: the decide call shape and the build context."""
+
+import math
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.policies import Policy, PolicyContext, PolicyDecision, PowerObservation
-
-
-class TestPowerObservation:
-    def test_is_frozen(self):
-        obs = PowerObservation(time_s=0.0, step_s=60.0,
-                               harvest_power_w=1e-4, state_of_charge=0.5)
-        with pytest.raises(AttributeError):
-            obs.state_of_charge = 0.9
-
-    def test_time_of_day_wraps_at_midnight(self):
-        obs = PowerObservation(time_s=2 * 86400.0 + 3600.0, step_s=60.0,
-                               harvest_power_w=0.0, state_of_charge=0.5)
-        assert obs.time_of_day_s == pytest.approx(3600.0)
-
-    def test_first_day_time_is_identity(self):
-        obs = PowerObservation(time_s=12345.0, step_s=60.0,
-                               harvest_power_w=0.0, state_of_charge=0.5)
-        assert obs.time_of_day_s == 12345.0
-
-
-class TestPolicyDecision:
-    def test_mode_hint_defaults_empty(self):
-        decision = PolicyDecision(detection_rate_per_min=4.0)
-        assert decision.mode == ""
-        assert decision.detection_rate_per_min == 4.0
+from repro.policies import Policy, PolicyContext
 
 
 class TestPolicyProtocol:
@@ -36,8 +13,9 @@ class TestPolicyProtocol:
         class Greedy:
             max_rate_per_min = 24.0
 
-            def decide(self, obs):
-                return PolicyDecision(self.max_rate_per_min, "greedy")
+            def decide(self, time_s, step_s, harvest_power_w,
+                       state_of_charge):
+                return self.max_rate_per_min
 
         assert isinstance(Greedy(), Policy)
 
@@ -54,9 +32,12 @@ class TestPolicyContext:
         assert context.timeline is None
         assert context.harvester is None
 
-    def test_rejects_nonpositive_detection_energy(self):
-        with pytest.raises(ConfigurationError):
-            PolicyContext(detection_energy_j=0.0)
+    @pytest.mark.parametrize("energy", [0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_nonpositive_or_non_finite_detection_energy(self, energy):
+        with pytest.raises(ConfigurationError,
+                           match="detection energy must be positive and "
+                                 "finite"):
+            PolicyContext(detection_energy_j=energy)
 
     def test_rejects_negative_sleep_power(self):
         with pytest.raises(ConfigurationError):

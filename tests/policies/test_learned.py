@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import SpecError, UnknownPolicyError
 from repro.fann import Activation, LayerSpec, MultiLayerPerceptron
-from repro.policies.base import PowerObservation
 from repro.policies.learned import (
     FEATURE_NAMES,
     HARVEST_SCALE_W,
@@ -26,9 +25,8 @@ from repro.units import SECONDS_PER_DAY
 
 
 def _obs(time_s=0.0, soc=0.8, harvest_w=0.01):
-    return PowerObservation(time_s=time_s, step_s=60.0,
-                            harvest_power_w=harvest_w,
-                            state_of_charge=soc)
+    """The four ``decide`` arguments, in protocol order."""
+    return time_s, 60.0, harvest_w, soc
 
 
 def _tiny_network(seed=0):
@@ -40,23 +38,23 @@ def _tiny_network(seed=0):
 
 class TestFeatures:
     def test_midnight_is_angle_zero(self):
-        sin, cos, _, _ = extract_features(_obs(time_s=0.0))
+        sin, cos, _, _ = extract_features(*_obs(time_s=0.0))
         assert sin == pytest.approx(0.0)
         assert cos == pytest.approx(1.0)
 
     def test_time_wraps_around_the_day(self):
-        late = extract_features(_obs(time_s=SECONDS_PER_DAY - 60.0))
-        early = extract_features(_obs(time_s=SECONDS_PER_DAY + 60.0))
+        late = extract_features(*_obs(time_s=SECONDS_PER_DAY - 60.0))
+        early = extract_features(*_obs(time_s=SECONDS_PER_DAY + 60.0))
         # 23:59 and 00:01 are neighbours on the unit circle.
         assert math.hypot(late[0] - early[0],
                           late[1] - early[1]) < 0.01
 
     def test_harvest_scaled_to_order_one(self):
-        features = extract_features(_obs(harvest_w=HARVEST_SCALE_W))
+        features = extract_features(*_obs(harvest_w=HARVEST_SCALE_W))
         assert features[3] == pytest.approx(1.0)
 
     def test_order_matches_names(self):
-        features = extract_features(_obs(soc=0.42))
+        features = extract_features(*_obs(soc=0.42))
         assert len(features) == len(FEATURE_NAMES)
         assert features[FEATURE_NAMES.index("soc")] == 0.42
 
@@ -104,7 +102,7 @@ class TestParamsCodec:
     def test_rebuilt_network_infers_identically(self):
         network = _tiny_network(seed=2)
         rebuilt, _ = network_from_params(network_to_params(network))
-        x = np.asarray(extract_features(_obs(time_s=3600.0)))
+        x = np.asarray(extract_features(*_obs(time_s=3600.0)))
         np.testing.assert_array_equal(network.forward(x),
                                       rebuilt.forward(x))
 
@@ -182,11 +180,9 @@ class TestInference:
         network = _tiny_network(seed=1)
         policy = LearnedPolicy(network, max_rate_per_min=24.0)
         obs = _obs()
-        decision = policy.decide(obs)
-        assert decision.mode == "learned"
-        assert 0.0 <= decision.detection_rate_per_min <= 24.0
-        fraction = policy.rate_fraction(obs)
-        assert decision.detection_rate_per_min == fraction * 24.0
+        rate = policy.decide(*obs)
+        assert 0.0 <= rate <= 24.0
+        assert rate == policy.rate_fraction(*obs) * 24.0
 
     def test_output_clamped_even_for_linear_heads(self):
         # A LINEAR output layer can produce values outside [0, 1]; the
@@ -196,10 +192,10 @@ class TestInference:
         network.set_weights([np.array([[100.0, 100.0, 100.0, 100.0,
                                         100.0]])])
         policy = LearnedPolicy(network, max_rate_per_min=24.0)
-        assert policy.decide(_obs()).detection_rate_per_min == 24.0
+        assert policy.decide(*_obs()) == 24.0
         network.set_weights([-np.array([[100.0, 100.0, 100.0, 100.0,
                                          100.0]])])
-        assert policy.decide(_obs()).detection_rate_per_min == 0.0
+        assert policy.decide(*_obs()) == 0.0
 
 
 class TestFactories:
@@ -213,15 +209,14 @@ class TestFactories:
         params = network_to_params(_tiny_network(seed=4))
         quantized = build_policy(PolicySpec("learned_q", params))
         assert isinstance(quantized, LearnedQPolicy)
-        assert quantized.mode == "learned_q"
 
     def test_quantized_tracks_float_inference(self):
         params = network_to_params(_tiny_network(seed=4))
         float_policy = build_policy(PolicySpec("learned", params))
         fixed_policy = build_policy(PolicySpec("learned_q", params))
         obs = _obs(time_s=7200.0, soc=0.6)
-        assert (fixed_policy.rate_fraction(obs)
-                == pytest.approx(float_policy.rate_fraction(obs), abs=0.02))
+        assert (fixed_policy.rate_fraction(*obs)
+                == pytest.approx(float_policy.rate_fraction(*obs), abs=0.02))
 
     def test_learned_q_decimal_point_must_be_int(self):
         params = network_to_params(_tiny_network())

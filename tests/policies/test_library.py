@@ -1,5 +1,6 @@
 """Built-in policies: semantics, validation edges, engine integration."""
 
+import dataclasses
 import json
 import math
 
@@ -23,7 +24,6 @@ from repro.policies import (
     EwmaForecastPolicy,
     OracleLookaheadPolicy,
     PolicyContext,
-    PowerObservation,
     StaticDutyCyclePolicy,
 )
 from repro.scenarios import PolicySpec, build_harvester, build_policy
@@ -32,8 +32,17 @@ DETECTION_J = 605.2e-6
 
 
 def obs(harvest_w=1e-4, soc=0.5, t=0.0, dt=300.0):
-    return PowerObservation(time_s=t, step_s=dt, harvest_power_w=harvest_w,
-                            state_of_charge=soc)
+    """The four ``decide`` arguments, in protocol order."""
+    return t, dt, harvest_w, soc
+
+
+@dataclasses.dataclass(frozen=True)
+class OldStyleDecision:
+    """The shape of a rate-plus-mode decision object, which ``decide``
+    must not return: it answers with the bare rate."""
+
+    detection_rate_per_min: float
+    mode: str = ""
 
 
 def sun_after_darkness() -> EnvironmentTimeline:
@@ -54,12 +63,7 @@ class TestEnergyAwareAdapter:
     ])
     def test_decide_matches_manager_exactly(self, policy, harvest_w, soc):
         expected = policy.manager.detection_rate_per_min(harvest_w, soc)
-        assert policy.decide(obs(harvest_w, soc)).detection_rate_per_min == expected
-
-    def test_mode_hints_track_regimes(self, policy):
-        assert policy.decide(obs(soc=0.05)).mode == "starving"
-        assert policy.decide(obs(soc=0.95)).mode == "abundant"
-        assert policy.decide(obs(soc=0.5)).mode == "neutral"
+        assert policy.decide(*obs(harvest_w, soc)) == expected
 
     def test_max_rate_mirrors_thresholds(self):
         manager = EnergyAwareManager(DETECTION_J,
@@ -71,9 +75,7 @@ class TestStaticDutyCycle:
     def test_rate_is_condition_blind(self):
         policy = StaticDutyCyclePolicy(rate_per_min=3.0)
         for observation in (obs(0.0, 0.05), obs(1.0, 0.95)):
-            decision = policy.decide(observation)
-            assert decision.detection_rate_per_min == 3.0
-            assert decision.mode == "static"
+            assert policy.decide(*observation) == 3.0
 
     def test_negative_rate_rejected(self):
         with pytest.raises(SpecError, match="negative"):
@@ -102,12 +104,12 @@ class TestEwmaForecast:
     def test_forecast_converges_to_constant_harvest(self):
         policy = EwmaForecastPolicy(DETECTION_J, alpha=0.5)
         for _ in range(64):
-            policy.decide(obs(2e-4, soc=0.5))
+            policy.decide(*obs(2e-4, soc=0.5))
         assert policy.forecast_w == pytest.approx(2e-4, rel=1e-6)
         # Converged forecast -> the instantaneous neutral rate.
         manager = EnergyAwareManager(DETECTION_J)
         expected = manager.detection_rate_per_min(2e-4, 0.5)
-        rate = policy.decide(obs(2e-4, soc=0.5)).detection_rate_per_min
+        rate = policy.decide(*obs(2e-4, soc=0.5))
         assert rate == pytest.approx(expected, rel=1e-6)
 
     def test_smoothing_damps_a_burst(self):
@@ -116,8 +118,8 @@ class TestEwmaForecast:
         policy = EwmaForecastPolicy(DETECTION_J, alpha=0.1,
                                     max_rate_per_min=1000.0)
         for _ in range(32):
-            policy.decide(obs(1e-5, soc=0.5))
-        burst = policy.decide(obs(5e-3, soc=0.5)).detection_rate_per_min
+            policy.decide(*obs(1e-5, soc=0.5))
+        burst = policy.decide(*obs(5e-3, soc=0.5))
         instantaneous = EnergyAwareManager(
             DETECTION_J, ManagerPolicy(max_rate_per_min=1000.0)
         ).detection_rate_per_min(5e-3, 0.5)
@@ -125,16 +127,16 @@ class TestEwmaForecast:
 
     def test_soc_bands_override_forecast(self):
         policy = EwmaForecastPolicy(DETECTION_J)
-        assert policy.decide(obs(1.0, soc=0.05)).detection_rate_per_min == 1.0
-        assert policy.decide(obs(0.0, soc=0.95)).detection_rate_per_min == 24.0
+        assert policy.decide(*obs(1.0, soc=0.05)) == 1.0
+        assert policy.decide(*obs(0.0, soc=0.95)) == 24.0
 
     def test_reset_forgets_history(self):
         policy = EwmaForecastPolicy(DETECTION_J, alpha=0.1)
-        policy.decide(obs(1e-3, soc=0.5))
+        policy.decide(*obs(1e-3, soc=0.5))
         policy.reset()
         assert policy.forecast_w is None
         # First post-reset observation seeds the forecast directly.
-        policy.decide(obs(2e-4, soc=0.5))
+        policy.decide(*obs(2e-4, soc=0.5))
         assert policy.forecast_w == pytest.approx(2e-4)
 
     def test_engine_resets_between_runs(self):
@@ -174,7 +176,7 @@ class TestOracleLookahead:
         spends above the instantaneous-neutral floor."""
         policy = OracleLookaheadPolicy(DETECTION_J, sun_after_darkness(),
                                        harvester, lookahead_s=4 * 3600.0)
-        rate = policy.decide(obs(0.0, soc=0.5, t=0.0)).detection_rate_per_min
+        rate = policy.decide(*obs(0.0, soc=0.5, t=0.0))
         blind = EnergyAwareManager(DETECTION_J).detection_rate_per_min(0.0, 0.5)
         assert rate > blind
 
@@ -352,9 +354,9 @@ class TestEngineIntegration:
             max_rate_per_min = 6.0
             manager = Scheduler()
 
-            def decide(self, observation):
-                from repro.policies import PolicyDecision
-                return PolicyDecision(6.0)
+            def decide(self, time_s, step_s, harvest_power_w,
+                       state_of_charge):
+                return 6.0
 
         sim = DaySimulation(sun_after_darkness(), policy=WithScheduler(),
                             step_s=600.0)
@@ -363,28 +365,37 @@ class TestEngineIntegration:
             sim.app.energy_budget().total_j)
         sim.run()  # prices detections with the default app's energy
 
-    def test_invalid_policy_rate_rejected_mid_run(self):
+    @pytest.mark.parametrize("returned", [
+        math.nan, -1.0, OldStyleDecision(6.0, "static"), None,
+    ], ids=["nan", "negative", "decision_object", "none"])
+    def test_invalid_policy_rate_rejected_mid_run(self, returned):
+        """Anything but a non-negative number — including a decision
+        object or None, which cannot even be compared — gets the
+        engine's own error naming the policy class and the step time,
+        not a bare TypeError."""
         class Broken:
             max_rate_per_min = 24.0
 
-            def decide(self, observation):
-                from repro.policies import PolicyDecision
-                return PolicyDecision(float("nan"))
+            def decide(self, time_s, step_s, harvest_power_w,
+                       state_of_charge):
+                return returned
 
         from repro.errors import SimulationError
 
         sim = DaySimulation(sun_after_darkness(), policy=Broken(),
                             step_s=600.0)
-        with pytest.raises(SimulationError, match="invalid"):
+        with pytest.raises(SimulationError,
+                           match=r"policy Broken returned an invalid "
+                                 r"detection rate .* at t=0s"):
             sim.run()
 
     def test_rate_above_ceiling_is_clamped(self):
         class Overdriven:
             max_rate_per_min = 6.0
 
-            def decide(self, observation):
-                from repro.policies import PolicyDecision
-                return PolicyDecision(1000.0)
+            def decide(self, time_s, step_s, harvest_power_w,
+                       state_of_charge):
+                return 1000.0
 
         sim = DaySimulation(sun_after_darkness(), policy=Overdriven(),
                             step_s=600.0)
@@ -459,14 +470,13 @@ class TestOneBand:
             assert manager.detection_rate_per_min(h, s) == expected, (h, s)
             assert from_mask == expected, (h, s)
             forecast.reset()
-            assert forecast.decide(obs(h, s)).detection_rate_per_min \
-                == expected, (h, s)
+            assert forecast.decide(*obs(h, s)) == expected, (h, s)
 
     @pytest.mark.parametrize("soc", [math.nan, -1e-12, 1.5, -math.inf])
     def test_scalar_and_mask_reject_the_same_soc(self, soc):
         policy = EnergyAwarePolicy(EnergyAwareManager(DETECTION_J))
         with pytest.raises(ConfigurationError, match="state of charge"):
-            policy.decide(obs(1e-4, soc))
+            policy.decide(*obs(1e-4, soc))
         with pytest.raises(ConfigurationError, match="state of charge"):
             policy.decide_batch(0.0, 60.0, np.array([1e-4, 1e-4]),
                                 np.array([0.5, soc]))
@@ -492,6 +502,5 @@ class TestOneBand:
         socs = soc_seed[:len(harvest)]
         batch = policy.decide_batch(0.0, 60.0, np.array(harvest),
                                     np.array(socs))
-        assert batch.tolist() == [
-            policy.decide(obs(h, s)).detection_rate_per_min
-            for h, s in zip(harvest, socs)]
+        assert batch.tolist() == [policy.decide(*obs(h, s))
+                                  for h, s in zip(harvest, socs)]

@@ -18,7 +18,11 @@ from repro.serve import (
     http_request,
     run_smoke,
 )
-from repro.serve.app import MAX_BODY_BYTES
+from repro.serve.app import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_LINE_BYTES,
+    MAX_HEADER_LINES,
+)
 
 TINY_FLEET = {"name": "tiny", "base_scenario": "sunny_office_worker",
               "n_wearers": 3, "horizon_days": 1, "seed": 11}
@@ -319,6 +323,32 @@ class TestProtocolErrors:
                         b"\r\n" + body)
         assert raw.startswith(b"HTTP/1.1 400")
         assert error in raw
+
+    @pytest.mark.parametrize("header", [
+        b"X-Padding: " + b"a" * 70_000 + b"\r\n",
+        b"X-Padding: " + b"a" * MAX_HEADER_LINE_BYTES + b"\r\n",
+    ], ids=["past_stream_limit", "past_line_cap"])
+    def test_oversized_header_line_431(self, server, header):
+        """A 70 KB line used to surface the stream reader's ValueError
+        as a 500."""
+        raw = self._raw(server, b"GET /health HTTP/1.1\r\n" + header +
+                        b"\r\n")
+        assert raw.startswith(b"HTTP/1.1 431 Request Header Fields Too Large")
+        assert b"request header line too long" in raw
+
+    def test_too_many_header_lines_431(self, server):
+        """5000 header lines used to get a 200."""
+        raw = self._raw(server, b"GET /health HTTP/1.1\r\n" +
+                        b"X: y\r\n" * 5000 + b"\r\n")
+        assert raw.startswith(b"HTTP/1.1 431")
+        assert b"too many request header lines" in raw
+
+    def test_header_caps_are_inclusive(self, server):
+        header = b"X-Padding: " + b"a" * (MAX_HEADER_LINE_BYTES - 13) + b"\r\n"
+        assert len(header) == MAX_HEADER_LINE_BYTES
+        raw = self._raw(server, b"GET /health HTTP/1.1\r\n" +
+                        header * MAX_HEADER_LINES + b"\r\n")
+        assert raw.startswith(b"HTTP/1.1 200")
 
     def test_empty_connection_closed_quietly(self, server):
         # Opening and closing without sending anything must not wedge

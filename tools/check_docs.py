@@ -52,8 +52,9 @@ SKIP_MARK = "<!-- docs-check: skip -->"
 SLOW_MARK = "<!-- docs-check: slow -->"
 
 
-def extract_fences(text: str) -> list[tuple[int, str, list[str]]]:
-    """(start_line, marker, lines) for every ``console`` fence."""
+def extract_fences(text: str, language: str = "console",
+                   ) -> list[tuple[int, str, list[str]]]:
+    """(start_line, marker, lines) for every ``language`` fence."""
     fences = []
     lines = text.splitlines()
     index = 0
@@ -62,7 +63,7 @@ def extract_fences(text: str) -> list[tuple[int, str, list[str]]]:
         stripped = lines[index].strip()
         if stripped in (SKIP_MARK, SLOW_MARK):
             marker = stripped
-        elif stripped.startswith("```console"):
+        elif stripped == "```" + language:
             start = index + 1
             body = []
             index += 1
