@@ -17,7 +17,11 @@ validated and defaulted once, by :class:`ManagerPolicy`, and the rule
 exists once as a scalar
 (:meth:`EnergyAwareManager.detection_rate_per_min`) and once as a mask
 over per-wearer arrays
-(:meth:`EnergyAwareManager.detection_rates_per_min`).  The banded
+(:meth:`EnergyAwareManager.detection_rates_per_min`).  The mask reads
+its thresholds as plain floats for one manager and as ``(k, 1)``
+columns for a :class:`StackedBand` of k managers, so a policy grid
+decides a ``(k, wearers)`` block in one call through the same
+expression.  The banded
 built-ins of :mod:`repro.policies.library` (``energy_aware``,
 ``ewma_forecast``, ``oracle_lookahead``) differ only in the power
 estimate they pass in — instantaneous, EWMA or lookahead mean.
@@ -40,13 +44,14 @@ The three regimes, scalar and mask form:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["ManagerPolicy", "EnergyAwareManager"]
+__all__ = ["ManagerPolicy", "EnergyAwareManager", "StackedBand"]
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,8 @@ class EnergyAwareManager:
         float operations in the same order (``harvest * (1 - margin)``
         then ``usable * 60 / E``, then ``min(max, max(min, neutral))``).
         Any SoC outside [0, 1] (NaN included) raises, as the scalar
-        form does.
+        form does.  :class:`StackedBand` runs this same method with
+        every threshold a ``(k, 1)`` column.
         """
         if not np.all((state_of_charge >= 0.0) & (state_of_charge <= 1.0)):
             raise ConfigurationError("state of charge must lie in [0, 1]")
@@ -182,3 +188,35 @@ class EnergyAwareManager:
         if rate <= 0:
             return float("inf")
         return 60.0 / rate
+
+
+class StackedBand:
+    """The bands of k managers as one, thresholds as ``(k, 1)`` columns.
+
+    Row ``r`` of :meth:`detection_rates_per_min` on a ``(k, wearers)``
+    SoC block is bit for bit manager ``r``'s mask form on that row: it
+    is the same method, reading ``(k, 1)`` float64 columns where one
+    manager reads floats (the column of a threshold holds exactly that
+    threshold's float, so every lane runs the same float operations).
+
+    >>> stacked = StackedBand([EnergyAwareManager(570e-6),
+    ...                        EnergyAwareManager(570e-6, ManagerPolicy(
+    ...                            max_rate_per_min=6.0))])
+    >>> stacked.detection_rates_per_min(np.array([1e-4, 0.0]),
+    ...                                 np.array([[0.5, 0.95],
+    ...                                           [0.5, 0.95]])).tolist()
+    [[10.0, 24.0], [6.0, 6.0]]
+    """
+
+    def __init__(self, managers: list[EnergyAwareManager]) -> None:
+        def column(values) -> np.ndarray:
+            return np.array(values, dtype=np.float64)[:, np.newaxis]
+
+        self.policy = SimpleNamespace(**{
+            field.name: column([getattr(manager.policy, field.name)
+                                for manager in managers])
+            for field in fields(ManagerPolicy)})
+        self.detection_energy_j = column(
+            [manager.detection_energy_j for manager in managers])
+
+    detection_rates_per_min = EnergyAwareManager.detection_rates_per_min

@@ -19,9 +19,10 @@ them to population statistics.
   :meth:`FleetRunner.run_grid`, and sharded execution
   (``run(fleet, shard=(i, N))``);
 * :mod:`repro.fleet.vector` — the array engine behind the ``vector``
-  and ``process`` backends: a chunk's wearers stepped simultaneously
-  as numpy vectors, bitwise-identical to the scalar oracle (scalar
-  fallback for unbatchable policies);
+  and ``process`` backends: a chunk's wearers, under every batchable
+  candidate of a grid, stepped simultaneously as one numpy lane block,
+  bitwise-identical to the scalar oracle (scalar fallback for
+  unbatchable policies);
 * :mod:`repro.fleet.result` — :class:`FleetResult` population
   statistics (SoC percentiles, fraction energy-neutral, downtime
   hours, detections/day distribution), plus the sharding types
@@ -66,6 +67,7 @@ from repro.fleet.runner import (
 )
 from repro.fleet.vector import (
     batchable,
+    simulate_grid_vector,
     simulate_specs_vector,
 )
 from repro.fleet.library import (
@@ -104,6 +106,7 @@ __all__ = [
     "FleetGridResult",
     "FleetRunner",
     "batchable",
+    "simulate_grid_vector",
     "simulate_specs_vector",
     "all_fleets",
     "fleet_names",

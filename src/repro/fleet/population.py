@@ -166,42 +166,44 @@ def run_wearer_chunk(context: Mapping[str, Any],
     hook once per chunk, and ships only wearer indices per item.  The
     handler samples its wearers once through :func:`wearer_scenarios`
     — deterministic, so the outcomes are bitwise-identical to a parent
-    materialization — and runs them as one batch per policy, on
-    :func:`~repro.fleet.vector.simulate_specs_vector` or the scalar
-    oracle.  On the vector engine every policy's batch prices through
-    one shared harvest memo, so a grid prices each condition once per
-    chunk; the scalar engine keeps each simulation's own memo.  Each
-    item's result is its wearer's outcome dicts in
-    policy order.  In a worker the base scenario and sampler resolve
-    by name in a fresh ``import repro``, so runtime-registered
-    components raise the process backend's usual explanatory
+    materialization — and reruns them under every policy.  On the
+    vector engine the whole grid is one call of
+    :func:`~repro.fleet.vector.simulate_grid_vector`: every batchable
+    candidate steps as rows of one array pass, the rest split off onto
+    the scalar loop, and all of them price through one shared harvest
+    memo, so a grid prices each condition once per chunk.  The scalar
+    engine runs each simulation on its own memo.  Each item's result
+    is its wearer's outcome dicts in policy order.  In a worker the
+    base scenario and sampler resolve by name in a fresh
+    ``import repro``, so runtime-registered components raise the
+    process backend's usual explanatory
     :class:`~repro.errors.SpecError`.
     """
     # Deferred: the engines' imports stay off the fleet module's
     # import path until a chunk actually runs.
-    from repro.fleet.vector import simulate_specs_vector
+    from repro.fleet.vector import simulate_grid_vector
     from repro.scenarios.builder import build_harvester
     from repro.scenarios.runner import ScenarioOutcome, lean_simulation
 
-    vector = context["engine"] == "vector"
     fleet = FleetSpec.from_dict(context["fleet"])
     policies = [None if policy is None else PolicySpec.from_dict(policy)
                 for policy in context["policies"]]
     specs = wearer_scenarios(fleet, items)
     for spec in specs:
         crash_hook(context, spec.name)
-    # Candidates differ only in their policy, so one harvest memo
-    # serves every candidate: each condition is priced once per chunk.
-    harvester = (build_harvester(specs[0].system.harvester, cached=True)
-                 if vector and specs else None)
-    outcomes: list[list[dict]] = [[] for _ in specs]
-    for policy in policies:
-        batch = with_policy(specs, policy)
-        if vector:
-            results = simulate_specs_vector(batch, harvester=harvester)
-        else:
-            results = [lean_simulation(spec).run() for spec in batch]
-        for wearer, spec, result in zip(outcomes, batch, results):
-            wearer.append(
-                ScenarioOutcome.from_result(spec.name, result).to_dict())
-    return outcomes
+    batches = [with_policy(specs, policy) for policy in policies]
+    if context["engine"] == "vector" and specs:
+        # Candidates differ only in their policy, so one harvest memo
+        # serves every candidate: each condition is priced once per
+        # chunk.
+        grid = simulate_grid_vector(batches, build_harvester(
+            specs[0].system.harvester, cached=True))
+    else:
+        grid = [[lean_simulation(spec).run() for spec in batch]
+                for batch in batches]
+    return [
+        [ScenarioOutcome.from_result(batch[row].name,
+                                     results[row]).to_dict()
+         for batch, results in zip(batches, grid)]
+        for row in range(len(specs))
+    ]

@@ -12,7 +12,8 @@ array loop replicates its float operations exactly, in the same order
 per wearer:
 
 * **Shared lockstep.**  Every wearer of a fleet shares the system spec
-  (battery, policy, step size, sleep power, fault windows) and horizon
+  (battery, step size, sleep power, fault windows; the policy per
+  candidate) and horizon
   — only the sampled timelines differ — so all wearers see the same
   ``(t, dt)`` sequence (:func:`repro.core.simulation.step_grid`) and
   the same per-step fault state, and per-wearer data reduces to one
@@ -45,27 +46,44 @@ totals — and therefore the canonical ``FleetResult`` JSON — *bitwise*.
 tolerance, across the fleet library, every registered policy, shard
 patterns and horizons.
 
+**Candidates become lanes.**  A policy grid reruns the same wearers
+under every candidate, and a pass costs about the same at 8 lanes as
+at 64 (per-step numpy call overhead dominates), so every batchable
+candidate of a chunk steps in *one* pass
+(:func:`simulate_grid_vector`): state arrays have shape
+``(candidates, wearers)``, the ``(wearers, steps)`` intake matrix is
+shared by broadcasting (never tiled), and each candidate's
+``max_rate_per_min`` and step cap are rows of per-lane arrays built
+before the loop.  Each step, a run of consecutive candidates of one
+class with a ``stack`` hook decides its block in one call, with its
+parameters as ``(k, 1)`` columns; any other candidate decides its own
+row.  A lone candidate is the one-row case, kept 1-D so a plain fleet
+run pays for no candidate axis.
+
 **Dispatch.**  The engine runs only inside the ``"fleet"`` chunk
 handler (:func:`repro.fleet.population.run_wearer_chunk`), which
 :class:`~repro.fleet.runner.FleetRunner` reaches through
 :func:`repro.pool.execute`: in the calling process on
 ``backend="vector"``, inside pool workers on ``backend="process"``.
-Each call steps one chunk's wearers under one policy; the handler
-passes every call of a chunk the same harvest memo, so a policy grid
-prices each condition once per chunk, not once per candidate.  Only policies
+Each call steps one chunk's wearers under every candidate, and every
+candidate prices through one shared harvest memo, so a grid prices
+each condition once per chunk, not once per candidate.  Only policies
 exposing ``decide_batch`` (:class:`repro.policies.base.BatchPolicy` —
-the built-in ``energy_aware`` and ``static_duty_cycle``) and the stock
+the built-in ``energy_aware``, ``static_duty_cycle`` and
+``ewma_forecast``) and the stock
 :class:`~repro.power.battery.LiPoBattery` can step through the array
-loop.  Everything else — stateful forecasts, ``oracle_lookahead``,
-the ``learned``/``learned_q`` networks, third-party components — falls
-back to the per-wearer scalar loop behind the single dispatch point in
-:func:`simulate_specs_vector`, so the array engine is safe for
-*every* fleet and merely fastest for batchable ones.
+loop.  Everything else — ``oracle_lookahead`` (it reads each wearer's
+own timeline), the ``learned``/``learned_q`` networks, third-party
+components without the hook — splits off once per chunk onto the
+per-wearer scalar loop behind the single dispatch point in
+:func:`simulate_grid_vector`, so the array engine is safe for *every*
+fleet and merely fastest for batchable ones.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import dataclasses
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -80,6 +98,7 @@ from repro.scenarios.spec import ScenarioSpec
 __all__ = [
     "DEFAULT_CHUNK",
     "batchable",
+    "simulate_grid_vector",
     "simulate_specs_vector",
 ]
 
@@ -137,33 +156,93 @@ def simulate_specs_vector(specs: Sequence[ScenarioSpec],
 
     The vector analogue of running ``build_simulation(spec).run()``
     over the batch: summary totals only (the vector engine keeps no
-    per-step trace — fleet runs never do).  This is also the single
-    dispatch point of the subsystem: batchable batches (see
-    :func:`batchable`) step through the array loop in chunks of
-    ``chunk`` wearers, everything else drops to the per-wearer scalar
+    per-step trace — fleet runs never do).  The one-candidate case of
+    :func:`simulate_grid_vector`: a batchable batch (see
+    :func:`batchable`) steps through the array loop in chunks of
+    ``chunk`` wearers, anything else drops to the per-wearer scalar
     loop — so callers get the scalar-oracle numbers either way.
 
     Every wearer on the first spec's harvester chain prices through
-    one memo of it: ``harvester`` when given (the fleet chunk handler
-    passes one per chunk, so every candidate of a grid reads the
-    conditions the first one priced), else the first simulation's own.
-    Wearers of a mixed batch on another chain keep their own memo.
+    one memo of it: ``harvester`` when given, else the first
+    simulation's own.  Wearers of a mixed batch on another chain keep
+    their own memo.
     """
-    specs = list(specs)
-    if not specs:
-        return []
+    return simulate_grid_vector([specs], harvester, chunk=chunk)[0]
+
+
+def simulate_grid_vector(batches: Sequence[Sequence[ScenarioSpec]],
+                         harvester: CachedHarvester | None = None,
+                         chunk: int = DEFAULT_CHUNK,
+                         ) -> list[list[SimulationResult]]:
+    """Per-candidate, per-wearer results of a policy grid.
+
+    ``batches`` holds one batch of specs per candidate; the fleet chunk
+    handler passes the same wearers under each candidate's policy.
+    This is the single dispatch point of the subsystem:
+
+    * every batchable batch (:func:`batchable`) in lockstep with the
+      first one — same wearers' timelines, same system but for the
+      policy — joins one array pass, so a grid's batchable candidates
+      step as one ``(candidates, wearers)`` lane block;
+    * every other batch (``oracle_lookahead``, the trained networks,
+      third-party policies without ``decide_batch``, mixed batches,
+      batches of other wearers or systems) runs on the per-wearer
+      scalar loop.
+
+    Batches on the first batch's harvester chain price through one
+    memo of it (``harvester`` when given, else the first simulation's
+    own), so a grid prices each condition once, whichever engine a
+    candidate runs on; a batch on another chain uses its own memo.
+    """
+    batches = [list(batch) for batch in batches]
+    results: list[list[SimulationResult]] = [[] for _ in batches]
+    occupied = [index for index, batch in enumerate(batches) if batch]
+    if not occupied:
+        return results
     if chunk < 1:
         raise SpecError(f"chunk must be at least 1, got {chunk!r}")
-    sim = lean_simulation(specs[0])
+    sims = {index: lean_simulation(batches[index][0]) for index in occupied}
+    chain = batches[occupied[0]][0].system.harvester
     if harvester is None:
-        harvester = sim.harvester
-    if not batchable(specs, sim):
-        return _simulate_scalar(specs, harvester)
-    results: list[SimulationResult] = []
-    for start in range(0, len(specs), chunk):
-        results.extend(
-            _simulate_chunk(specs[start:start + chunk], sim, harvester))
+        harvester = sims[occupied[0]].harvester
+
+    def memo(index: int) -> CachedHarvester:
+        return (harvester if batches[index][0].system.harvester == chain
+                else sims[index].harvester)
+
+    lanes: list[int] = []  # the candidates of the array pass
+    for index in occupied:
+        batch = batches[index]
+        if (batchable(batch, sims[index])
+                and (not lanes or _lockstep(batch, batches[lanes[0]]))):
+            lanes.append(index)
+        else:
+            results[index] = _simulate_scalar(batch, memo(index))
+    if lanes:
+        for start in range(0, len(batches[lanes[0]]), chunk):
+            per_candidate = _simulate_lanes(
+                [batches[index][start:start + chunk] for index in lanes],
+                [sims[index] for index in lanes], memo(lanes[0]))
+            for index, block in zip(lanes, per_candidate):
+                results[index].extend(block)
     return results
+
+
+def _lockstep(batch: Sequence[ScenarioSpec],
+              head: Sequence[ScenarioSpec]) -> bool:
+    """True when two uniform batches differ only in their policy.
+
+    Both already passed :func:`batchable` (each is uniform), so their
+    first specs stand for the shared system, step, horizon and faults;
+    the wearers' timelines must match row by row.
+    """
+    a, b = batch[0], head[0]
+    return (len(batch) == len(head)
+            and dataclasses.replace(a.system, policy=b.system.policy)
+            == b.system
+            and a.step_s == b.step_s and a.duration_s == b.duration_s
+            and a.faults == b.faults
+            and all(x.timeline == y.timeline for x, y in zip(batch, head)))
 
 
 def _simulate_scalar(specs: Sequence[ScenarioSpec],
@@ -238,30 +317,133 @@ def _intake_matrix(specs: Sequence[ScenarioSpec], harvester,
     return intake
 
 
-def _simulate_chunk(specs: Sequence[ScenarioSpec], sim,
-                    harvester: CachedHarvester) -> list[SimulationResult]:
-    """Step one chunk of wearers through the array loop.
+def _decider(batches: Sequence[Sequence[ScenarioSpec]],
+             policies: Sequence) -> Callable:
+    """The pass's ``decide_batch`` over its whole lane block.
 
-    ``sim`` is a *fresh* (never stepped) simulation built from any
-    spec of the batch: it supplies the shared components — battery
-    parameters and initial charge, policy, detection energy, fault
-    timeline.  ``harvester`` is the memo pricing the chunk's
-    conditions.  Every numpy expression below is the
-    scalar loop's float arithmetic verbatim; comments reference the
-    matching lines of :meth:`DaySimulation.run` and
+    A run of consecutive candidates of one class with a ``stack`` hook
+    (see :class:`~repro.policies.base.BatchPolicy`) decides its
+    ``(k, wearers)`` block in one call of the stacked object; any other
+    candidate decides its own row, a 1-D wearer array, as a lone
+    policy does.  When one decider covers every candidate it is
+    returned as is; otherwise the returned function concatenates the
+    rows of each, checking that each block broadcasts to its rows.
+    """
+    groups = []  # (lo, hi, SoC rows, decide_batch)
+    lo = 0
+    while lo < len(policies):
+        family = type(policies[lo])
+        stack = getattr(family, "stack", None)
+        hi = lo + 1
+        while (stack is not None and hi < len(policies)
+               and type(policies[hi]) is family):
+            hi += 1
+        if hi - lo == 1:
+            groups.append((lo, hi, lo, policies[lo].decide_batch))
+        else:
+            groups.append((lo, hi, slice(lo, hi),
+                           stack(policies[lo:hi]).decide_batch))
+        lo = hi
+    if len(groups) == 1:
+        return groups[0][3]
+    wearers = len(batches[0])
+
+    def decide(time_s, step_s, harvest_power_w, state_of_charge):
+        blocks = []
+        for lo, hi, rows, decide_batch in groups:
+            block = np.asarray(decide_batch(time_s, step_s, harvest_power_w,
+                                            state_of_charge[rows]),
+                               dtype=float)
+            try:
+                blocks.append(np.broadcast_to(block, (hi - lo, wearers)))
+            except ValueError:
+                raise _shape_error(batches, policies, lo, hi,
+                                   block.shape) from None
+        return np.concatenate(blocks)
+
+    return decide
+
+
+def _candidate(batches: Sequence[Sequence[ScenarioSpec]], policies,
+               row: int) -> str:
+    """Candidate ``row``'s policy class and spec, for lane errors."""
+    from repro.policies.grid import policy_label
+
+    label = policy_label(batches[row][0].system.policy)
+    return f"policy {type(policies[row]).__name__} (candidate {label})"
+
+
+def _shape_error(batches, policies, lo: int, hi: int,
+                 shape: tuple) -> SimulationError:
+    """A decider returned a block that does not broadcast to its rows."""
+    specs = batches[lo]
+    candidates = "; ".join(_candidate(batches, policies, row)
+                           for row in range(lo, hi))
+    return SimulationError(
+        f"{candidates} returned a batch of shape {shape} for "
+        f"{hi - lo} x {len(specs)} lanes (wearers {specs[0].name} to "
+        f"{specs[-1].name})")
+
+
+def _rate_error(batches, policies, rates: np.ndarray,
+                t: float) -> SimulationError:
+    """The first lane whose rate is negative or NaN, named."""
+    rates = rates.reshape(len(batches), -1)
+    row, wearer = np.argwhere(~(rates >= 0.0))[0]
+    return SimulationError(
+        f"{_candidate(batches, policies, row)} returned an invalid "
+        f"detection rate {float(rates[row, wearer])!r} for wearer "
+        f"{batches[row][wearer].name} at t={t:.0f}s")
+
+
+def _simulate_lanes(batches: Sequence[Sequence[ScenarioSpec]],
+                    sims: Sequence, harvester: CachedHarvester,
+                    ) -> list[list[SimulationResult]]:
+    """Step one chunk of wearers under every candidate in one array loop.
+
+    ``batches`` are the candidates' specs of the same wearers, in
+    lockstep (see :func:`_lockstep`); ``sims`` holds one *fresh* (never
+    stepped) simulation per candidate, built from its first spec.
+    Lanes are ``(candidate, wearer)`` pairs, candidate-major: every
+    state array has shape ``(candidates, wearers)``.  The intake
+    matrix stays ``(wearers, steps)`` and each step's column broadcasts
+    over the candidate rows, so it is priced and stored once.  The
+    first simulation supplies the shared components — battery
+    parameters and initial charge, detection energy, sleep power,
+    fault timeline; each candidate supplies its policy, whose
+    ``max_rate_per_min`` becomes a ``(candidates, 1)`` column.
+    ``harvester`` is the memo pricing the chunk's conditions.  Every
+    numpy expression below is the scalar loop's float arithmetic
+    verbatim, lane by lane; comments reference the matching lines of
+    :meth:`DaySimulation.run` and
     :class:`~repro.power.battery.LiPoBattery`.
     """
+    specs = batches[0]
+    sim = sims[0]
     n = len(specs)
+    # A one-candidate pass keeps 1-D wearer lanes: no step of a plain
+    # fleet run pays for a candidate axis.
+    shape = (len(batches), n) if len(batches) > 1 else (n,)
     horizon = float(specs[0].duration_s)
     times, dts = step_grid(horizon, sim.step_s)
     n_steps = len(times)
 
-    policy = sim.policy
-    reset = getattr(policy, "reset", None)
-    if reset is not None:
-        reset()
-    decide_batch = policy.decide_batch
-    max_rate = policy.max_rate_per_min
+    policies = [candidate.policy for candidate in sims]
+    for policy in policies:
+        reset = getattr(policy, "reset", None)
+        if reset is not None:
+            reset()
+    decide_batch = _decider(batches, policies)
+    # Per-candidate ceilings: a (candidates, 1) column, spread to the
+    # lane shape once so no step pays for broadcasting it.
+    max_rate = np.array([[policy.max_rate_per_min] for policy in policies],
+                        dtype=np.float64)
+    # The scalar loop's `max(1.0, max_rate * dt / 60.0)`, element by
+    # element, once per distinct step length.
+    step_caps = {dt: np.repeat(np.maximum(1.0, max_rate * dt / 60.0),
+                               n, axis=1).reshape(shape)
+                 for dt in set(dts)}
+    max_rate = np.repeat(max_rate, n, axis=1).reshape(shape)
     detection_j = sim.detection_energy_j
     sleep_power_w = sim.sleep_power_w
 
@@ -301,19 +483,20 @@ def _simulate_chunk(specs: Sequence[ScenarioSpec], sim,
     uv_volts = battery.undervoltage_lockout_v
     uv_floor_c = battery._uv_floor_c
     initial_soc = battery.state_of_charge
-    charge_c = np.full(n, battery.charge_c)
+    charge_c = np.full(shape, battery.charge_c)
 
-    carry = np.zeros(n)
-    total_harvest = np.zeros(n)
-    total_consumed = np.zeros(n)
-    total_detections = np.zeros(n)
-    downtime = np.zeros(n)
+    carry = np.zeros(shape)
+    total_harvest = np.zeros(shape)
+    total_consumed = np.zeros(shape)
+    total_detections = np.zeros(shape)
+    downtime = np.zeros(shape)
 
     for k in range(n_steps):
         t = times[k]
         dt = dts[k]
-        intake_k = intake[:, k]
+        intake_k = intake[:, k]  # broadcasts over the candidate rows
         overhead_w = overheads[k]
+        step_cap = step_caps[dt]
 
         # LiPoBattery.charge: guards (zero power / is_full) as a mask;
         # selected lanes run `delta_c = p*dt/V*eta`, `accepted =
@@ -334,23 +517,19 @@ def _simulate_chunk(specs: Sequence[ScenarioSpec], sim,
         soc = charge_c / capacity_c
         rates = np.asarray(decide_batch(t, dt, intake_k, soc), dtype=float)
         try:
-            rates = np.broadcast_to(rates, (n,))
+            rates = np.broadcast_to(rates, shape)
         except ValueError:
-            raise SimulationError(
-                f"policy {type(policy).__name__} returned a batch of "
-                f"shape {rates.shape} for {n} wearers") from None
+            raise _shape_error(batches, policies, 0, len(policies),
+                               rates.shape) from None
         if not np.all(rates >= 0.0):  # rejects negatives and NaN alike
-            raise SimulationError(
-                f"policy {type(policy).__name__} returned an invalid "
-                f"detection rate at t={t:.0f}s")
+            raise _rate_error(batches, policies, rates, t)
         rates = np.minimum(rates, max_rate)
-        step_cap = max(1.0, max_rate * dt / 60.0)
         if sensor_oks[k]:
             carry = carry + rates * dt / 60.0
             detections_now = np.floor(np.minimum(carry, step_cap))
             carry = carry - detections_now
         else:
-            detections_now = np.zeros(n)
+            detections_now = np.zeros(shape)
 
         # LiPoBattery.discharge with the engine's demand: guards (zero
         # power / is_undervoltage) as a mask; selected lanes run
@@ -382,16 +561,19 @@ def _simulate_chunk(specs: Sequence[ScenarioSpec], sim,
         total_consumed += delivered_j
         total_detections += detections_now
 
+    lanes = (len(batches), n)
+    totals = [total.reshape(lanes) for total in (
+        total_detections, charge_c, total_harvest, total_consumed, downtime)]
     return [
-        SimulationResult(
-            total_detections=float(total_detections[i]),
+        [SimulationResult(
+            total_detections=float(detections[i]),
             initial_soc=initial_soc,
-            final_soc=float(charge_c[i] / capacity_c),
-            total_harvest_j=float(total_harvest[i]),
-            total_consumed_j=float(total_consumed[i]),
+            final_soc=float(charge[i] / capacity_c),
+            total_harvest_j=float(harvest[i]),
+            total_consumed_j=float(consumed[i]),
             duration_s=horizon,
-            downtime_s=float(downtime[i]),
+            downtime_s=float(down[i]),
             fault_demand_j=fault_demand_j,
-        )
-        for i in range(n)
+        ) for i in range(n)]
+        for detections, charge, harvest, consumed, down in zip(*totals)
     ]

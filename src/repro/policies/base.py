@@ -11,7 +11,8 @@ without knowing their internals:
   plus a ``max_rate_per_min`` ceiling the engine uses to cap per-step
   execution (a brown-out backlog can never replay above it).
 * :class:`BatchPolicy` — the optional ``decide_batch`` hook: the same
-  signature, element-wise over per-wearer arrays.
+  signature, element-wise over per-wearer arrays (plus the optional
+  ``stack`` hook that merges k candidates of one class).
 * :class:`PolicyContext` — build-time facts a policy factory may need
   (per-detection energy, the environment timeline for lookahead
   policies, the harvesting chain).
@@ -101,13 +102,26 @@ class BatchPolicy(Policy, Protocol):
       bit-for-bit the rate ``decide`` would return for wearer ``i``'s
       floats — the scalar engine is the oracle, and the differential
       harness asserts this equivalence.
-    * The engine drives one policy object per array pass:
-      ``_simulate_chunk`` calls its ``reset()`` (when it has one) once
-      at the start of the pass, then ``decide_batch`` once per step
-      with every lane of the chunk.  A stateful policy may therefore
-      keep per-lane state (one array entry per wearer), cleared by
-      ``reset()``; lane ``i`` must still evolve exactly as a fresh
-      scalar run of wearer ``i`` would.
+    * The engine drives one policy object per candidate row: each
+      array pass (:func:`repro.fleet.vector.simulate_grid_vector`)
+      steps every batchable candidate of a policy grid as rows of one
+      ``(candidate, wearer)`` lane block.  It calls each candidate's
+      ``reset()`` (when it has one) once at the start of the pass,
+      then, once per step, ``decide_batch`` with that candidate's row:
+      1-D arrays over the chunk's wearers.  A stateful policy may
+      therefore keep per-lane state (one array entry per wearer),
+      cleared by ``reset()``; lane ``i`` must still evolve exactly as
+      a fresh scalar run of wearer ``i`` would.
+    * Optional ``stack(policies)`` hook, a classmethod: given k
+      policies of this class, return one object whose
+      ``decide_batch`` takes the same scalars and harvest array but a
+      ``(k, wearers)`` SoC block, and returns rates broadcastable to
+      that block, row ``r`` bit for bit what policy ``r`` returns for
+      its row.  A run of consecutive grid candidates of one class with
+      this hook then decides in one call per step, its parameters
+      stacked as ``(k, 1)`` columns.  The built-in ``energy_aware``,
+      ``static_duty_cycle`` and ``ewma_forecast`` have it; a policy
+      without it simply decides its own row.
     """
 
     def decide_batch(self, time_s: float, step_s: float,

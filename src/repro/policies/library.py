@@ -26,6 +26,13 @@ validates and defaults its thresholds; the manager holds its scalar
 and mask forms).  Each policy here supplies only the power estimate it
 prices: instantaneous, EWMA or lookahead mean.
 
+Every built-in but ``oracle_lookahead`` is a
+:class:`~repro.policies.base.BatchPolicy`, and each of those three
+also has the ``stack`` hook: k candidates of one family become one
+object deciding a ``(k, wearers)`` block, their parameters stacked as
+``(k, 1)`` columns, which is how a policy grid steps as one array pass
+(:func:`repro.fleet.vector.simulate_grid_vector`).
+
 Factories registered here take ``(params, context)`` — the
 :class:`~repro.scenarios.spec.PolicySpec` params mapping plus a
 :class:`~repro.policies.base.PolicyContext` — and raise
@@ -46,7 +53,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.core.manager import EnergyAwareManager, ManagerPolicy
+from repro.core.manager import (EnergyAwareManager, ManagerPolicy,
+                                StackedBand)
 from repro.errors import ConfigurationError, SpecError
 from repro.policies.base import PolicyContext
 from repro.scenarios.registry import POLICIES, register_policy
@@ -94,6 +102,11 @@ def _merge_params(name: str, params: Mapping[str, Any],
     return merged
 
 
+def _column(values) -> np.ndarray:
+    """One parameter of k stacked policies as a ``(k, 1)`` column."""
+    return np.array(values, dtype=np.float64)[:, np.newaxis]
+
+
 def _band_manager(name: str, detection_energy_j: float,
                   band: Mapping[str, Any]) -> EnergyAwareManager:
     """The SoC band of one banded policy, its errors as SpecError."""
@@ -139,6 +152,16 @@ class EnergyAwarePolicy:
         return self.manager.detection_rates_per_min(harvest_power_w,
                                                     state_of_charge)
 
+    @classmethod
+    def stack(cls, policies: list[EnergyAwarePolicy]) -> EnergyAwarePolicy:
+        """The ``stack`` hook: k policies as one over ``(k, N)`` blocks.
+
+        The wrapped managers become one
+        :class:`~repro.core.manager.StackedBand`, whose mask form reads
+        each threshold as a ``(k, 1)`` column.
+        """
+        return cls(StackedBand([policy.manager for policy in policies]))
+
 
 class StaticDutyCyclePolicy:
     """A fixed detection rate, blind to harvest and battery state.
@@ -168,6 +191,26 @@ class StaticDutyCyclePolicy:
         """The constant rate for every wearer (trivially batchable)."""
         return np.full_like(state_of_charge, self.rate_per_min)
 
+    @classmethod
+    def stack(cls, policies: list[StaticDutyCyclePolicy]) -> _RateColumn:
+        """The ``stack`` hook: k constant rates as one ``(k, 1)`` column."""
+        return _RateColumn(_column([policy.rate_per_min
+                                    for policy in policies]))
+
+
+class _RateColumn:
+    """What :meth:`StaticDutyCyclePolicy.stack` returns: the stacked
+    rates, one row per candidate, broadcast by the engine over its
+    wearers."""
+
+    def __init__(self, rates: np.ndarray) -> None:
+        self.rates = rates
+
+    def decide_batch(self, time_s: float, step_s: float,
+                     harvest_power_w: np.ndarray,
+                     state_of_charge: np.ndarray) -> np.ndarray:
+        return self.rates
+
 
 class EwmaForecastPolicy:
     """Energy-neutral rate priced against an EWMA harvest forecast.
@@ -196,6 +239,7 @@ class EwmaForecastPolicy:
         self.max_rate_per_min = self._band.policy.max_rate_per_min
         self.alpha = alpha
         self._forecast_w: float | None = None
+        self._lanes = _EwmaLanes(alpha, self._band)
 
     @property
     def forecast_w(self) -> float | None:
@@ -205,6 +249,7 @@ class EwmaForecastPolicy:
     def reset(self) -> None:
         """Forget the forecast (called by the engine at run start)."""
         self._forecast_w = None
+        self._lanes.reset()
 
     def decide(self, time_s: float, step_s: float, harvest_power_w: float,
                state_of_charge: float) -> float:
@@ -216,6 +261,55 @@ class EwmaForecastPolicy:
                         + (1.0 - self.alpha) * previous)
         self._forecast_w = forecast
         return self._band.detection_rate_per_min(forecast, state_of_charge)
+
+    def decide_batch(self, time_s: float, step_s: float,
+                     harvest_power_w: np.ndarray,
+                     state_of_charge: np.ndarray) -> np.ndarray:
+        """Per-wearer rates, one forecast per lane (cleared by
+        :meth:`reset`); lane ``i`` evolves exactly as a fresh scalar
+        run of :meth:`decide` on wearer ``i``'s floats."""
+        return self._lanes.decide_batch(time_s, step_s, harvest_power_w,
+                                        state_of_charge)
+
+    @classmethod
+    def stack(cls, policies: list[EwmaForecastPolicy]) -> _EwmaLanes:
+        """The ``stack`` hook: k forecasts deciding a ``(k, N)`` block,
+        ``alpha`` and the band thresholds as ``(k, 1)`` columns."""
+        return _EwmaLanes(_column([policy.alpha for policy in policies]),
+                          StackedBand([policy._band for policy in policies]))
+
+
+class _EwmaLanes:
+    """Per-lane EWMA forecasts feeding the band's mask form.
+
+    ``alpha`` is a float and ``band`` a manager for one policy's
+    wearers; for a stack of k policies, ``alpha`` is a ``(k, 1)``
+    column, ``band`` a :class:`~repro.core.manager.StackedBand` and the
+    lanes a ``(k, N)`` block.  Each lane runs the float operations of
+    :meth:`EwmaForecastPolicy.decide`: the first observation is the
+    forecast, then ``alpha * harvest + (1 - alpha) * previous``.
+    """
+
+    def __init__(self, alpha, band) -> None:
+        self.alpha = alpha
+        self.band = band
+        self.forecast_w = None
+
+    def reset(self) -> None:
+        self.forecast_w = None
+
+    def decide_batch(self, time_s: float, step_s: float,
+                     harvest_power_w: np.ndarray,
+                     state_of_charge: np.ndarray) -> np.ndarray:
+        previous = self.forecast_w
+        if previous is None:
+            # A copy: the caller may reuse its harvest array.
+            forecast = np.array(harvest_power_w, dtype=np.float64)
+        else:
+            forecast = (self.alpha * harvest_power_w
+                        + (1.0 - self.alpha) * previous)
+        self.forecast_w = forecast
+        return self.band.detection_rates_per_min(forecast, state_of_charge)
 
 
 class OracleLookaheadPolicy:

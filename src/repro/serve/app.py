@@ -43,13 +43,15 @@ __all__ = ["ReproServer", "ServerThread", "http_request", "run_smoke",
 #: Request bodies above this are rejected with 413 before parsing.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
-#: A request header line longer than this (terminator included), or
-#: more header lines than :data:`MAX_HEADER_LINES`, is rejected with 431.
+#: A request line longer than this (terminator included) is rejected
+#: with 414; a longer header line, or more header lines than
+#: :data:`MAX_HEADER_LINES`, with 431.
 MAX_HEADER_LINE_BYTES = 8 * 1024
 MAX_HEADER_LINES = 100
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
+            414: "URI Too Long",
             431: "Request Header Fields Too Large",
             500: "Internal Server Error", 504: "Gateway Timeout"}
 
@@ -60,6 +62,16 @@ def _error(status: int, message: str) -> ServeResponse:
     return ServeResponse(
         status=status,
         body=json.dumps({"error": message}).encode("ascii") + b"\n")
+
+
+async def _capped_line(reader: asyncio.StreamReader) -> bytes | None:
+    """One line, or None when it is longer than
+    :data:`MAX_HEADER_LINE_BYTES` (terminator included)."""
+    try:
+        line = await reader.readline()
+    except ValueError:  # longer than the stream's buffer limit
+        return None
+    return line if len(line) <= MAX_HEADER_LINE_BYTES else None
 
 
 def _render(response: ServeResponse) -> bytes:
@@ -186,7 +198,10 @@ class ReproServer:
 
     async def _read_and_dispatch(
             self, reader: asyncio.StreamReader) -> ServeResponse:
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        raw_line = await _capped_line(reader)
+        if raw_line is None:
+            return _error(414, "request line too long")
+        request_line = raw_line.decode("latin-1").strip()
         if not request_line:
             raise ConnectionError("empty request")
         parts = request_line.split()
@@ -198,11 +213,8 @@ class ReproServer:
         content_length = 0
         header_lines = 0
         while True:
-            try:
-                raw_line = await reader.readline()
-            except ValueError:  # longer than the stream's buffer limit
-                raw_line = None
-            if raw_line is None or len(raw_line) > MAX_HEADER_LINE_BYTES:
+            raw_line = await _capped_line(reader)
+            if raw_line is None:
                 return _error(431, "request header line too long")
             line = raw_line.decode("latin-1")
             if line in ("\r\n", "\n", ""):

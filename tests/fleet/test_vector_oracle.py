@@ -15,7 +15,9 @@ the single source of truth and the vector engine can never drift into
 """
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 from repro.fleet import (
@@ -29,13 +31,15 @@ from repro.fleet import (
     simulate_specs_vector,
     wearer_scenarios,
 )
+from repro.errors import SimulationError
 from repro.fleet import population
+from repro.fleet.vector import DEFAULT_CHUNK, simulate_grid_vector
 from repro.policies import PolicyGrid, default_policy_names
 from repro.pool import get_shared_pool
 from repro.scenarios.builder import build_harvester
 from repro.scenarios.runner import (ScenarioOutcome, ScenarioRunner,
                                    lean_simulation)
-from repro.scenarios.spec import PolicySpec, canonical_json
+from repro.scenarios.spec import FaultSpec, PolicySpec, canonical_json
 
 
 def small_fleet(**overrides) -> FleetSpec:
@@ -173,19 +177,19 @@ def test_chunking_is_invisible():
 
 def test_batchable_dispatch_facts():
     """The dispatch predicate: batchable for the built-in array-path
-    policies, scalar fallback for stateful ones, False for mixed or
-    open-horizon batches."""
+    policies, scalar fallback for ``oracle_lookahead`` (it reads each
+    wearer's own timeline), False for mixed or open-horizon batches."""
     specs = wearer_scenarios(small_fleet(n_wearers=2))
     assert batchable(specs)
     assert batchable([])
-    stateful = [
+    lookahead = [
         dataclasses.replace(
             spec, system=dataclasses.replace(
-                spec.system, policy=PolicySpec("ewma_forecast")))
+                spec.system, policy=PolicySpec("oracle_lookahead")))
         for spec in specs
     ]
-    assert not batchable(stateful)
-    mixed = [specs[0], stateful[1]]
+    assert not batchable(lookahead)
+    mixed = [specs[0], lookahead[1]]
     assert not batchable(mixed)
     open_horizon = [dataclasses.replace(spec, duration_s=None)
                     for spec in specs]
@@ -288,3 +292,233 @@ def test_grid_prices_each_condition_once(monkeypatch):
     assert len(priced) == 1
     assert priced[0].stats.misses == len(pairs)
     assert sorted(lanes) == sorted({lighting.lux for lighting, _ in pairs})
+
+
+# -- the fused grid pass ------------------------------------------------
+#
+# ``simulate_grid_vector`` steps every batchable candidate of a chunk as
+# rows of one (candidate, wearer) lane block; the pins below hold it to
+# one pass per candidate and to the scalar oracle under ``==``.
+
+#: The ``fleet_search_pool`` candidate shape: one ``energy_aware``, four
+#: ``static_duty_cycle`` rates and three ``ewma_forecast`` alphas.
+SEARCH_GRID = [PolicyGrid("energy_aware"),
+               PolicyGrid("static_duty_cycle",
+                          axes={"rate_per_min": [2.0, 4.0, 6.0, 12.0]}),
+               PolicyGrid("ewma_forecast", axes={"alpha": [0.1, 0.25, 0.5]})]
+
+SEARCH_POLICIES = [spec for grid in SEARCH_GRID for spec in grid]
+
+
+def _grid_payload(batches, grid) -> str:
+    return canonical_json([
+        [ScenarioOutcome.from_result(spec.name, result).to_dict()
+         for spec, result in zip(batch, results)]
+        for batch, results in zip(batches, grid)])
+
+
+def assert_fused_grid_pinned(specs, policies, chunk=DEFAULT_CHUNK) -> None:
+    """The fused pass equals one pass per candidate and the scalar
+    oracle: results under ``==`` and canonical JSON byte for byte."""
+    batches = [population.with_policy(specs, policy) for policy in policies]
+    fused = simulate_grid_vector(batches, chunk=chunk)
+    per_candidate = [simulate_specs_vector(batch, chunk=chunk)
+                     for batch in batches]
+    scalar = [[lean_simulation(spec).run() for spec in batch]
+              for batch in batches]
+    assert fused == per_candidate == scalar
+    assert (_grid_payload(batches, fused)
+            == _grid_payload(batches, per_candidate)
+            == _grid_payload(batches, scalar))
+
+
+def test_search_pool_grid_fused_matches_serial():
+    """The benchmark's 8-candidate grid shape (8 wearers x 2 days,
+    jittered): ``vector`` and ``process`` equal ``serial``."""
+    fleet = small_fleet(n_wearers=8, horizon_days=2, seed=7)
+    assert_grid_matches_scalar(fleet, SEARCH_GRID)
+    assert_fused_grid_pinned(wearer_scenarios(small_fleet(n_wearers=4)),
+                             SEARCH_POLICIES)
+
+
+def test_search_pool_grid_is_one_lane_block(monkeypatch):
+    """Every candidate of the search grid is batchable, and the chunk
+    handler steps them all in one array pass."""
+    from repro.fleet import vector
+
+    passes = []
+    lanes = vector._simulate_lanes
+
+    def counted(batches, sims, harvester):
+        passes.append(len(batches))
+        return lanes(batches, sims, harvester)
+
+    monkeypatch.setattr(vector, "_simulate_lanes", counted)
+    result = FleetRunner(backend="vector").run_grid(small_fleet(),
+                                                    SEARCH_GRID)
+    assert len(result.entries) == 8
+    assert passes == [8]
+
+
+def test_mixed_grid_splits_unbatchable_candidates():
+    """``oracle_lookahead`` and a tiny ``learned`` network split off onto
+    the scalar fallback; the rest (one family interrupted by another,
+    so two ``static_duty_cycle`` runs) stay in one fused pass."""
+    from repro.learn import TrainSpec, build_network
+    from repro.policies.learned import network_to_params
+
+    learned = PolicySpec("learned", network_to_params(
+        build_network(TrainSpec(hidden=(4,), seed=2))))
+    policies = [PolicySpec("static_duty_cycle", {"rate_per_min": 3.0}),
+                PolicySpec("oracle_lookahead"),
+                PolicySpec("energy_aware", {"low_soc": 0.3}),
+                learned,
+                PolicySpec("static_duty_cycle", {"rate_per_min": 9.0}),
+                PolicySpec("ewma_forecast", {"alpha": 0.5}),
+                PolicySpec("ewma_forecast", {"alpha": 1.0})]
+    assert_fused_grid_pinned(wearer_scenarios(small_fleet()), policies)
+    assert_grid_matches_scalar(small_fleet(), [
+        PolicyGrid("static_duty_cycle", axes={"rate_per_min": [3.0]}),
+        PolicyGrid("oracle_lookahead"),
+        PolicyGrid("learned", base=dict(learned.params)),
+        PolicyGrid("ewma_forecast", axes={"alpha": [0.5, 1.0]})])
+
+
+@pytest.mark.parametrize("faults", [
+    [FaultSpec("sensor_dropout", start_s=3_600.0, duration_s=7_200.0)],
+    [FaultSpec("harvester_derate", start_s=28_800.0, duration_s=14_400.0,
+               magnitude=0.25)],
+    [FaultSpec("load_spike", start_s=0.0, duration_s=43_200.0,
+               magnitude=2e-3)],
+], ids=["sensor_off", "harvest_scale", "extra_load"])
+def test_fused_grid_under_fault_windows(faults):
+    specs = [dataclasses.replace(spec, faults=tuple(faults))
+             for spec in wearer_scenarios(small_fleet())]
+    assert_fused_grid_pinned(specs, SEARCH_POLICIES)
+
+
+def test_fused_grid_ragged_horizon():
+    """A short final ``dt`` gets its own per-candidate step cap."""
+    specs = [dataclasses.replace(spec, duration_s=86_450.0)
+             for spec in wearer_scenarios(small_fleet(n_wearers=2))]
+    assert_fused_grid_pinned(specs, SEARCH_POLICIES)
+
+
+def test_fused_grid_candidates_with_different_ceilings():
+    """``static_duty_cycle`` at 0.5/min caps at 1/min, next to
+    ``energy_aware`` at 24/min and a static 30/min: ``max_rate`` and
+    the step cap are per-candidate rows."""
+    policies = [PolicySpec("static_duty_cycle", {"rate_per_min": 0.5}),
+                PolicySpec("energy_aware"),
+                PolicySpec("static_duty_cycle", {"rate_per_min": 30.0}),
+                PolicySpec("energy_aware", {"max_rate_per_min": 6.0})]
+    assert_fused_grid_pinned(wearer_scenarios(small_fleet()), policies)
+
+
+def test_fused_grid_brown_out_heavy_base():
+    """``dead_battery_cold_start`` under a 2 mW load for six hours
+    browns out some lanes and not others: the short-lane mask rewrites
+    carries against per-candidate step caps."""
+    specs = [dataclasses.replace(spec, faults=(FaultSpec(
+                 "load_spike", start_s=0.0, duration_s=21_600.0,
+                 magnitude=2e-3),))
+             for spec in wearer_scenarios(
+                 small_fleet(base_scenario="dead_battery_cold_start"))]
+    downtimes = {result.downtime_s
+                 for policy in SEARCH_POLICIES
+                 for result in simulate_specs_vector(
+                     population.with_policy(specs, policy))}
+    assert 0.0 in downtimes and len(downtimes) > 2
+    assert_fused_grid_pinned(specs, SEARCH_POLICIES)
+    assert_grid_matches_scalar(
+        small_fleet(base_scenario="dead_battery_cold_start"), SEARCH_GRID)
+
+
+def test_fused_grid_chunk_smaller_than_wearers():
+    assert_fused_grid_pinned(wearer_scenarios(small_fleet(n_wearers=5)),
+                             SEARCH_POLICIES, chunk=2)
+
+
+def test_grid_batches_out_of_lockstep_fall_back_bitwise():
+    """Batches of other wearers, another horizon or another battery
+    cannot share the first batch's lanes; they run on the scalar loop
+    and still equal the oracle."""
+    specs = wearer_scenarios(small_fleet())
+    batches = [
+        specs,
+        population.with_policy(wearer_scenarios(small_fleet(seed=12)),
+                               PolicySpec("ewma_forecast")),
+        [dataclasses.replace(spec, duration_s=43_200.0) for spec in specs],
+        [dataclasses.replace(spec, system=dataclasses.replace(
+            spec.system, battery=dataclasses.replace(
+                spec.system.battery, initial_soc=0.9)))
+         for spec in specs],
+    ]
+    assert simulate_grid_vector(batches) == [
+        [lean_simulation(spec).run() for spec in batch]
+        for batch in batches]
+
+
+class _LaneFault:
+    """Decides 6/min on the scalar path; ``decide_batch`` returns a NaN
+    (``kind`` 0) or negative (1) rate on lane ``lane``, or a batch one
+    lane too long (2)."""
+
+    max_rate_per_min = 24.0
+
+    def __init__(self, kind, lane):
+        self.kind, self.lane = kind, lane
+
+    def decide(self, time_s, step_s, harvest_power_w, state_of_charge):
+        return 6.0
+
+    def decide_batch(self, time_s, step_s, harvest_power_w,
+                     state_of_charge):
+        rates = np.full(len(state_of_charge) + (self.kind == 2), 6.0)
+        if self.kind != 2:
+            rates[self.lane] = math.nan if self.kind == 0 else -1.0
+        return rates
+
+
+@pytest.fixture
+def lane_fault_policy():
+    from repro.scenarios import POLICIES, register_policy
+
+    @register_policy("test_lane_fault")
+    def build(params, context):
+        return _LaneFault(params["kind"], params["lane"])
+
+    try:
+        yield
+    finally:
+        POLICIES.remove("test_lane_fault")
+
+
+def _run_with_lane_fault(kind: int) -> None:
+    specs = wearer_scenarios(small_fleet())
+    policies = [PolicySpec("energy_aware"),
+                PolicySpec("static_duty_cycle", {"rate_per_min": 2.0}),
+                PolicySpec("test_lane_fault", {"kind": kind, "lane": 1})]
+    simulate_grid_vector([population.with_policy(specs, policy)
+                          for policy in policies])
+
+
+@pytest.mark.parametrize("kind, rate", [(0, "nan"), (1, "-1.0")],
+                         ids=["nan", "negative"])
+def test_lane_rate_error_names_candidate_and_wearer(lane_fault_policy,
+                                                    kind, rate):
+    with pytest.raises(SimulationError, match=(
+            rf"policy _LaneFault \(candidate "
+            rf"test_lane_fault\(kind={kind},lane=1\)\) returned an invalid "
+            rf"detection rate {rate} for wearer vector_diff::wearer_0001 "
+            r"at t=0s")):
+        _run_with_lane_fault(kind)
+
+
+def test_lane_shape_error_names_candidate_and_wearers(lane_fault_policy):
+    with pytest.raises(SimulationError, match=(
+            r"policy _LaneFault \(candidate "
+            r"test_lane_fault\(kind=2,lane=1\)\) returned a batch of shape "
+            r"\(4,\) for 1 x 3 lanes \(wearers vector_diff::wearer_0000 to "
+            r"vector_diff::wearer_0002\)")):
+        _run_with_lane_fault(2)

@@ -504,3 +504,80 @@ class TestOneBand:
                                     np.array(socs))
         assert batch.tolist() == [policy.decide(*obs(h, s))
                                   for h, s in zip(harvest, socs)]
+
+
+class TestEwmaBatch:
+    """``ewma_forecast.decide_batch`` keeps one forecast per lane: lane
+    ``i`` must equal a fresh scalar run on lane ``i``'s floats, step
+    after step, under ``==``."""
+
+    @staticmethod
+    def _trace(lanes: int, steps: int, seed: int):
+        rng = np.random.default_rng(seed)
+        harvest = rng.uniform(0.0, 2e-3, size=(steps, lanes))
+        harvest[rng.random((steps, lanes)) < 0.3] = 0.0  # dark steps
+        harvest[steps // 3] = 0.0  # one all-dark step
+        soc = rng.uniform(0.0, 1.0, size=(steps, lanes))
+        return harvest, soc
+
+    @pytest.mark.parametrize("lanes", range(1, 10))
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 1.0])
+    def test_lane_equals_fresh_scalar_run(self, lanes, alpha):
+        context = PolicyContext(detection_energy_j=DETECTION_J)
+        spec = PolicySpec("ewma_forecast", {"alpha": alpha})
+        batch = build_policy(spec, context)
+        scalars = [build_policy(spec, context) for _ in range(lanes)]
+        harvest, soc = self._trace(lanes, 24, seed=lanes)
+        for step in range(len(harvest)):
+            if step == 15:  # mid-run reset: every forecast starts over
+                batch.reset()
+                for policy in scalars:
+                    policy.reset()
+            t = step * 60.0
+            rates = batch.decide_batch(t, 60.0, harvest[step], soc[step])
+            assert rates.tolist() == [
+                policy.decide(t, 60.0, float(h), float(s))
+                for policy, h, s in zip(scalars, harvest[step], soc[step])]
+
+    def test_batch_copies_its_first_observation(self):
+        policy = EwmaForecastPolicy(DETECTION_J, alpha=0.5)
+        harvest = np.array([1e-4, 2e-4])
+        policy.decide_batch(0.0, 60.0, harvest, np.array([0.5, 0.5]))
+        harvest[:] = 0.0  # the caller reuses its array
+        scalar = EwmaForecastPolicy(DETECTION_J, alpha=0.5)
+        scalar.decide(0.0, 60.0, 1e-4, 0.5)
+        assert (policy.decide_batch(60.0, 60.0, harvest,
+                                    np.array([0.5, 0.5]))[0]
+                == scalar.decide(60.0, 60.0, 0.0, 0.5))
+
+
+_FAMILIES = {
+    "energy_aware": [{}, {"low_soc": 0.3, "max_rate_per_min": 6.0},
+                     {"neutrality_margin": 0.5, "min_rate_per_min": 0.0}],
+    "static_duty_cycle": [{"rate_per_min": 2.0}, {"rate_per_min": 0.5},
+                          {"rate_per_min": 30.0}],
+    "ewma_forecast": [{"alpha": 0.1}, {"alpha": 1.0, "high_soc": 0.6},
+                      {"alpha": 0.5, "neutrality_margin": 0.0}],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_stacked_family_equals_member_batches(family):
+    """``stack`` turns k members into one decider over a ``(k, N)``
+    block; row ``r`` must equal member ``r``'s own ``decide_batch``,
+    step after step (the forecasts evolve per lane)."""
+    context = PolicyContext(detection_energy_j=DETECTION_J)
+    members = [build_policy(PolicySpec(family, params), context)
+               for params in _FAMILIES[family]]
+    stacked = type(members[0]).stack(members)
+    harvest, soc = TestEwmaBatch._trace(5, 12, seed=3)
+    for step in range(len(harvest)):
+        block = np.tile(soc[step], (len(members), 1))
+        block[0] = soc[step][::-1]  # rows see different SoCs
+        rates = np.broadcast_to(
+            stacked.decide_batch(step * 60.0, 60.0, harvest[step], block),
+            block.shape)
+        expected = [np.broadcast_to(member.decide_batch(
+                        step * 60.0, 60.0, harvest[step], row), row.shape)
+                    for member, row in zip(members, block)]
+        assert rates.tolist() == [row.tolist() for row in expected]

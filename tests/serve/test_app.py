@@ -336,6 +336,26 @@ class TestProtocolErrors:
         assert raw.startswith(b"HTTP/1.1 431 Request Header Fields Too Large")
         assert b"request header line too long" in raw
 
+    @pytest.mark.parametrize("target", [
+        b"/" + b"a" * 70_000,
+        b"/" + b"a" * MAX_HEADER_LINE_BYTES,
+    ], ids=["past_stream_limit", "past_line_cap"])
+    def test_oversized_request_line_414(self, server, target):
+        """A 70 KB request line used to surface the stream reader's
+        ValueError as a 500."""
+        raw = self._raw(server, b"GET " + target + b" HTTP/1.1\r\n\r\n")
+        assert raw.startswith(b"HTTP/1.1 414 URI Too Long")
+        body = json.loads(raw.split(b"\r\n\r\n", 1)[1])
+        assert body == {"error": "request line too long"}
+
+    def test_request_line_cap_is_inclusive(self, server):
+        """A request line of exactly the cap is read and routed (404)."""
+        target = b"/" + b"a" * (MAX_HEADER_LINE_BYTES - 16)
+        line = b"GET " + target + b" HTTP/1.1\r\n"
+        assert len(line) == MAX_HEADER_LINE_BYTES
+        raw = self._raw(server, line + b"\r\n")
+        assert raw.startswith(b"HTTP/1.1 404")
+
     def test_too_many_header_lines_431(self, server):
         """5000 header lines used to get a 200."""
         raw = self._raw(server, b"GET /health HTTP/1.1\r\n" +

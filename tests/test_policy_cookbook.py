@@ -30,8 +30,8 @@ SMALL_FLEET = FleetSpec(name="cookbook", base_scenario="sunny_office_worker",
 
 @pytest.fixture
 def cookbook():
-    """The namespace left by running the page's fences; the policy the
-    page registers is removed again afterwards."""
+    """The namespace left by running the page's fences; the policies
+    the page registers are removed again afterwards."""
     namespace = {"__name__": "policy_cookbook"}
     fences = check_docs.extract_fences(COOKBOOK.read_text(), "python")
     try:
@@ -42,12 +42,14 @@ def cookbook():
                 exec(code, namespace)
         yield namespace
     finally:
-        if "siesta_saver" in POLICIES:
-            POLICIES.remove("siesta_saver")
+        for name in ("siesta_saver", "siesta_saver_batch"):
+            if name in POLICIES:
+                POLICIES.remove(name)
 
 
 def test_fences_run_and_register_the_example_policy(cookbook):
     assert "siesta_saver" in POLICIES
+    assert "siesta_saver_batch" in POLICIES
     saver = cookbook["SiestaSaver"](570e-6)
     assert saver.decide(3600.0, 60.0, 1e-3, 0.5) == saver.floor_per_min
     assert saver.decide(16 * 3600.0, 60.0, 1e-3, 0.5) == pytest.approx(
