@@ -178,8 +178,8 @@ def _measure_policy_grid() -> dict:
         **{f"{b}_s": round(t, 6) for b, t in timings.items()},
         **{f"{b}_points_per_s": round(points / t, 2)
            for b, t in timings.items()},
-        "backends_identical": ([e.outcome for e in serial.entries]
-                               == [e.outcome for e in process.entries]),
+        "backends_identical": ([e.result for e in serial.entries]
+                               == [e.result for e in process.entries]),
         "best": serial.best.label,
     }
 
@@ -311,7 +311,7 @@ def _measure_fleet_grid() -> dict:
 
     Runs an eight-candidate grid (three policy families) over a
     seeded jittered fleet on the serial and process backends — the
-    ``repro fleet search`` path.  The canonical ``FleetGridResult``
+    ``repro fleet search`` path.  The canonical ``PolicyStudy``
     payloads must be byte-identical across backends, and a 3-way
     sharded run of the same fleet must merge to the exact unsharded
     ``FleetResult`` payload (the ``run --shard`` / ``merge``

@@ -46,8 +46,8 @@ def main() -> None:
         print(result.format_table())
         best = result.best
         print(f"winner: {best.label} "
-              f"({best.outcome.detections_per_day:.0f} det/day, "
-              f"final SoC {100 * best.outcome.final_soc:.1f} %)")
+              f"({best.result.detections_per_day:.0f} det/day, "
+              f"final SoC {100 * best.result.final_soc:.1f} %)")
 
 
 if __name__ == "__main__":

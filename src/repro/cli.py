@@ -84,8 +84,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from repro.units import kmh_to_ms
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.policies.grid import PolicyStudy
 
 __all__ = ["build_parser", "main"]
 
@@ -342,6 +346,15 @@ def _parse_policy_grids(grid_json: str | None,
     return grids_from_mapping(parsed, policy_names or (), what="--grid")
 
 
+def _print_ranking(title: str, scope: str, study: PolicyStudy) -> None:
+    """The ranking report ``search``, ``fleet search`` and ``learn
+    eval`` share: one headline, then the best-first table.  Each
+    command follows it with its own verdict line."""
+    print(f"{title}: {study.subject} — {scope}, {study.backend} backend, "
+          f"{study.wall_time_s:.2f} s")
+    print(study.format_table())
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     from repro.policies import PolicyGrid, default_policy_names
     from repro.scenarios import ScenarioRunner, get_scenario
@@ -358,14 +371,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.json:
         _print_json(result.to_dict())
         return 0
-    print(f"Policy search: {spec.name} — {len(result.entries)} grid "
-          f"point(s), {len(result.policy_names)} policy(ies), "
-          f"{result.backend} backend, {result.wall_time_s:.2f} s")
-    print(result.format_table())
+    _print_ranking("Policy search",
+                   f"{len(result.entries)} grid point(s), "
+                   f"{len(result.policy_names)} policy(ies)", result)
     best = result.best
     print(f"best: {best.label} "
-          f"({best.outcome.detections_per_day:.0f} detections/day, "
-          f"{'energy-neutral' if best.outcome.energy_neutral else 'draining'})")
+          f"({best.result.detections_per_day:.0f} detections/day, "
+          f"{'energy-neutral' if best.result.energy_neutral else 'draining'})")
     return 0
 
 
@@ -441,11 +453,9 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     if args.json or args.out:
         _emit_payload(report.to_dict(), args.out)
         return 0
-    comparison = report.comparison
-    print(f"Learned-policy evaluation: {report.fleet} — "
-          f"{len(comparison.entries)} policy(ies), {comparison.backend} "
-          f"backend, {comparison.wall_time_s:.2f} s")
-    print(comparison.format_table())
+    _print_ranking("Learned-policy evaluation",
+                   f"{len(report.comparison.entries)} policy(ies)",
+                   report.comparison)
     gap = report.gap
     if gap["gap_closed"] is None:
         print(f"gap: {gap['oracle']} opens no {gap['metric']} gap over "
@@ -635,12 +645,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         _print_json({"spec": fleet.to_dict(),
                      "search": result.to_dict()})
         return 0
-    print(f"Fleet policy search: {fleet.name} — {fleet.n_wearers} "
-          f"wearer(s) x {fleet.horizon_days} day(s), "
-          f"{len(result.entries)} candidate(s), "
-          f"{len(result.policy_names)} policy(ies), {result.backend} "
-          f"backend, {result.wall_time_s:.2f} s")
-    print(result.format_table())
+    _print_ranking("Fleet policy search",
+                   f"{fleet.n_wearers} wearer(s) x {fleet.horizon_days} "
+                   f"day(s), {len(result.entries)} candidate(s), "
+                   f"{len(result.policy_names)} policy(ies)", result)
     best = result.best
     print(f"best: {best.label} "
           f"({100 * best.result.fraction_energy_neutral:.0f}% "

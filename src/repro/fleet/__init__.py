@@ -16,7 +16,9 @@ them to population statistics.
 * :mod:`repro.fleet.runner` — :class:`FleetRunner` over the
   serial/process/vector backends (one :func:`repro.pool.execute`
   call per run, shard or grid), the paired fleet-level policy study
-  :meth:`FleetRunner.run_grid`, and sharded execution
+  :meth:`FleetRunner.run_grid` (a
+  :class:`~repro.policies.grid.PolicyStudy` ranked by
+  :data:`FLEET_STUDY`), and sharded execution
   (``run(fleet, shard=(i, N))``);
 * :mod:`repro.fleet.vector` — the array engine behind the ``vector``
   and ``process`` backends: a chunk's wearers, under every batchable
@@ -61,8 +63,7 @@ from repro.fleet.result import (
 )
 from repro.fleet.runner import (
     BACKENDS,
-    ComparisonEntry,
-    FleetGridResult,
+    FLEET_STUDY,
     FleetRunner,
 )
 from repro.fleet.vector import (
@@ -102,8 +103,7 @@ __all__ = [
     "load_partial_file",
     "percentile",
     "BACKENDS",
-    "ComparisonEntry",
-    "FleetGridResult",
+    "FLEET_STUDY",
     "FleetRunner",
     "batchable",
     "simulate_grid_vector",

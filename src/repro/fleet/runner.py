@@ -17,13 +17,13 @@ bitwise.  The per-wearer outcomes reduce into a
 of the spec, so the result's canonical payload is identical on every
 backend — the backends only change how fast you get it.
 
-:meth:`FleetRunner.run_grid` is the one policy study: it reruns the
-*same sampled population* under every
-:class:`~repro.policies.grid.PolicyGrid` candidate (every wearer's
-environment is held fixed while the policy varies — a paired
-experiment), returning a :class:`FleetGridResult` ranked by survival
-first: fraction of wearers that finished energy-neutral, then p5
-final state of charge, then median detections per day.
+:meth:`FleetRunner.run_grid` reruns the *same sampled population*
+under every :class:`~repro.policies.grid.PolicyGrid` candidate (every
+wearer's environment is held fixed while the policy varies — a paired
+experiment), returning a :class:`~repro.policies.grid.PolicyStudy` of
+kind :data:`FLEET_STUDY`, ranked by survival first: fraction of
+wearers that finished energy-neutral, then p5 final state of charge,
+then median detections per day.
 
 Sharded execution splits one fleet across machines:
 ``run(fleet, shard=(i, N))`` materializes only the wearers shard ``i``
@@ -36,21 +36,19 @@ partition to a result bitwise-identical to the unsharded run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from repro.errors import SpecError
 from repro.fleet.population import wearer_name
 from repro.fleet.result import FleetResult, PartialFleetResult, WearerRecord
 from repro.fleet.spec import FleetSpec
-from repro.policies.grid import PolicyGrid, expand_grids
+from repro.policies.grid import PolicyGrid, PolicyStudy, StudyKind
 from repro.pool import BACKENDS as POOL_BACKENDS
 from repro.pool import check_backend, check_workers, execute
 from repro.scenarios.runner import ScenarioOutcome
 from repro.scenarios.spec import PolicySpec
 from repro.shard import members
 
-__all__ = ["BACKENDS", "FleetRunner", "ComparisonEntry", "FleetGridResult"]
+__all__ = ["BACKENDS", "FLEET_STUDY", "FleetRunner"]
 
 #: Every backend a fleet study can run on: the executor's backends
 #: plus the fleet-only ``"vector"``.  All of them produce
@@ -69,92 +67,24 @@ _ENGINES = {
 }
 
 
-@dataclass(frozen=True)
-class ComparisonEntry:
-    """One candidate policy and the fleet it produced."""
-
-    label: str
-    policy: PolicySpec
-    result: FleetResult
-
-    @property
-    def rank_key(self) -> tuple:
-        """Sort key: most wearers energy-neutral, then best p5 final
-        SoC, then median detections/day."""
-        return (-self.result.fraction_energy_neutral,
-                -self.result.final_soc.p5,
-                -self.result.detections_per_day.p50)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "policy": self.policy.to_dict(),
-            "result": self.result.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
-class FleetGridResult:
-    """Outcome of a policy study over one sampled population.
-
-    The fleet-level sibling of
-    :class:`~repro.policies.grid.GridResult`: every candidate was
-    evaluated against the *same* sampled wearer population (a paired
-    experiment), and entries rank by fraction energy-neutral, then p5
-    final SoC, then median detections/day.
-
-    Attributes:
-        fleet: the studied fleet's name.
-        entries: one entry per candidate, in grid order.
-        backend: the sweep backend that executed the runs.
-        wall_time_s: wall-clock of the one batch that ran every
-            candidate (each entry's result records the same).
-    """
-
-    fleet: str
-    entries: tuple[ComparisonEntry, ...]
-    backend: str = ""
-    wall_time_s: float = 0.0
-
-    def ranked(self) -> list[ComparisonEntry]:
-        """Entries best-first: fraction energy-neutral, then p5 final
-        SoC, then median detections/day (stable for exact ties)."""
-        return sorted(self.entries, key=lambda entry: entry.rank_key)
-
-    @property
-    def best(self) -> ComparisonEntry:
-        """The top-ranked candidate."""
-        if not self.entries:
-            raise SpecError("empty fleet grid result has no best entry")
-        return self.ranked()[0]
-
-    @property
-    def policy_names(self) -> list[str]:
-        """Distinct policy names evaluated, sorted."""
-        return sorted({entry.policy.name for entry in self.entries})
-
-    def to_dict(self) -> dict[str, Any]:
-        """Canonical payload: ranking only, no timing provenance."""
-        return {
-            "fleet": self.fleet,
-            "ranking": [entry.to_dict() for entry in self.ranked()],
-        }
-
-    def format_table(self) -> str:
-        """A fixed-width best-first ranking report."""
-        header = (f"{'rank':>4s} {'policy':42s} {'neutral':>8s} "
-                  f"{'SoC p5':>7s} {'det/day p50':>11s} "
-                  f"{'downtime p95':>12s}")
-        lines = [header, "-" * len(header)]
-        for position, entry in enumerate(self.ranked(), start=1):
-            r = entry.result
-            lines.append(
-                f"{position:4d} {entry.label:42s} "
-                f"{100 * r.fraction_energy_neutral:7.1f}% "
-                f"{100 * r.final_soc.p5:6.1f}% "
-                f"{r.detections_per_day.p50:11.0f} "
-                f"{r.downtime_hours.p95:10.1f} h")
-        return "\n".join(lines)
+#: One sampled population under every candidate: the fraction of
+#: wearers energy-neutral first, then the p5 final state of charge,
+#: then median detections/day.
+FLEET_STUDY = StudyKind(
+    subject="fleet",
+    payload="result",
+    rank_key=lambda r: (-r.fraction_energy_neutral, -r.final_soc.p5,
+                        -r.detections_per_day.p50),
+    columns=(
+        (f"{'neutral':>8s}",
+         lambda r: f"{100 * r.fraction_energy_neutral:7.1f}%"),
+        (f"{'SoC p5':>7s}", lambda r: f"{100 * r.final_soc.p5:6.1f}%"),
+        (f"{'det/day p50':>11s}",
+         lambda r: f"{r.detections_per_day.p50:11.0f}"),
+        (f"{'downtime p95':>12s}",
+         lambda r: f"{r.downtime_hours.p95:10.1f} h"),
+    ),
+)
 
 
 class FleetRunner:
@@ -178,7 +108,8 @@ class FleetRunner:
 
     def _sweep_wearers(self, fleet: FleetSpec, indices: Sequence[int],
                        policies: Sequence[PolicySpec | None],
-                       ) -> tuple[list[tuple[ScenarioOutcome, ...]], str]:
+                       ) -> tuple[list[tuple[ScenarioOutcome, ...]], str,
+                                  float]:
         """Run the given wearers under every policy in one batch.
 
         The one dispatch point: a single :func:`repro.pool.execute`
@@ -186,8 +117,9 @@ class FleetRunner:
         the ``"fleet"`` chunk handler samples each wearer once where it
         runs and steps it under every policy.  Returns one outcome
         tuple per policy (wearers in ``indices`` order) and the
-        backend provenance.
+        backend and wall-time provenance.
         """
+        started = time.perf_counter()
         executor, engine = _ENGINES[self.backend]
         indices = list(indices)
         context = {
@@ -204,7 +136,8 @@ class FleetRunner:
             tuple(ScenarioOutcome.from_dict(wearer[position])
                   for wearer in results)
             for position in range(len(policies))]
-        return outcomes, "vector" if self.backend == "vector" else used
+        return (outcomes, "vector" if self.backend == "vector" else used,
+                time.perf_counter() - started)
 
     def run(self, fleet: FleetSpec,
             shard: tuple[int, int] | None = None,
@@ -223,11 +156,10 @@ class FleetRunner:
         :meth:`FleetResult.merge` reproduces the unsharded result
         bitwise — run shards on as many machines as you like.
         """
-        started = time.perf_counter()
         indices = (range(fleet.n_wearers) if shard is None
                    else members(fleet.n_wearers, shard))
-        (outcomes,), used = self._sweep_wearers(fleet, indices, [None])
-        wall_time_s = time.perf_counter() - started
+        (outcomes,), used, wall_time_s = self._sweep_wearers(
+            fleet, indices, [None])
         if shard is None:
             return FleetResult.from_outcomes(fleet, outcomes, backend=used,
                                              wall_time_s=wall_time_s)
@@ -243,19 +175,19 @@ class FleetRunner:
 
     def run_grid(self, fleet: FleetSpec,
                  grids: PolicyGrid | Iterable[PolicyGrid],
-                 ) -> FleetGridResult:
+                 ) -> PolicyStudy:
         """Rerun one sampled population under every grid candidate.
 
         Every candidate of every
         :class:`~repro.policies.grid.PolicyGrid` sees exactly the same
         wearer environments with only ``system.policy`` replaced per
         wearer scenario (a paired experiment), and the entries rank by
-        fraction energy-neutral, then p5 final SoC, then median
-        detections/day.  To compare registered policies at their
-        defaults, pass one ``PolicyGrid(name)`` per policy.  The whole
-        grid ships as one batch: each chunk samples its wearers once
-        and reruns them under every candidate, so a grid costs one
-        executor round trip, not one per candidate.
+        :data:`FLEET_STUDY`: fraction energy-neutral, then p5 final
+        SoC, then median detections/day.  To compare registered
+        policies at their defaults, pass one ``PolicyGrid(name)`` per
+        policy.  The whole grid ships as one batch: each chunk samples
+        its wearers once and reruns them under every candidate, so a
+        grid costs one executor round trip, not one per candidate.
 
         Args:
             fleet: the population description.
@@ -264,23 +196,18 @@ class FleetRunner:
                 across all grids are rejected.
 
         Returns:
-            A :class:`FleetGridResult` whose canonical payload
-            (:meth:`~FleetGridResult.to_dict`) is a pure function of
-            the fleet spec and the grids — identical on every backend.
+            A :class:`~repro.policies.grid.PolicyStudy` whose entries'
+            results are :class:`~repro.fleet.result.FleetResult` and
+            whose canonical payload is a pure function of the fleet
+            spec and the grids — identical on every backend.
         """
-        candidates = expand_grids(grids)
-        started = time.perf_counter()
-        outcomes, used = self._sweep_wearers(
-            fleet, range(fleet.n_wearers),
-            [policy for _, policy in candidates])
-        wall_time_s = time.perf_counter() - started
-        entries = tuple(
-            ComparisonEntry(
-                label=label,
-                policy=policy,
-                result=FleetResult.from_outcomes(
-                    fleet, candidate, backend=used,
-                    wall_time_s=wall_time_s))
-            for (label, policy), candidate in zip(candidates, outcomes))
-        return FleetGridResult(fleet=fleet.name, entries=entries,
-                               backend=used, wall_time_s=wall_time_s)
+        def sweep(candidates):
+            outcomes, used, wall_time_s = self._sweep_wearers(
+                fleet, range(fleet.n_wearers),
+                [policy for _, policy in candidates])
+            return ([FleetResult.from_outcomes(fleet, candidate,
+                                               backend=used,
+                                               wall_time_s=wall_time_s)
+                     for candidate in outcomes], used, wall_time_s)
+
+        return PolicyStudy.from_grids(FLEET_STUDY, fleet.name, grids, sweep)

@@ -8,7 +8,8 @@ population under every built-in policy plus the trained candidates via
 :meth:`~repro.fleet.runner.FleetRunner.run_grid` (paired wearers, like
 any policy study) and reports:
 
-* the full survival-first ranking (the grid result, canonical);
+* the full survival-first ranking (the fleet
+  :class:`~repro.policies.grid.PolicyStudy`, canonical);
 * the **gap closed**: ``(learned - baseline) / (oracle - baseline)``
   on median detections/day, ``None`` when the oracle opens no gap;
 * the quantized network's :func:`~repro.fann.deploy.deployment_summary`
@@ -24,7 +25,7 @@ from typing import Any
 from repro.errors import SpecError
 from repro.fann.deploy import deployment_summary
 from repro.learn.train import TrainedPolicy
-from repro.policies.grid import PolicyGrid
+from repro.policies.grid import PolicyGrid, PolicyStudy
 from repro.policies.learned import network_from_params
 
 __all__ = ["BASELINE_POLICIES", "GAP_METRIC", "EvalReport",
@@ -38,7 +39,7 @@ BASELINE_POLICIES = ("static_duty_cycle", "energy_aware", "ewma_forecast",
 GAP_METRIC = "detections_per_day.p50"
 
 
-def _median_detections(comparison, policy_name: str) -> float:
+def _median_detections(comparison: PolicyStudy, policy_name: str) -> float:
     for entry in comparison.entries:
         if entry.policy.name == policy_name:
             return entry.result.detections_per_day.p50
@@ -47,7 +48,7 @@ def _median_detections(comparison, policy_name: str) -> float:
         f"({sorted({e.policy.name for e in comparison.entries})})")
 
 
-def oracle_gap(comparison, candidate: str = "learned",
+def oracle_gap(comparison: PolicyStudy, candidate: str = "learned",
                baseline: str = "energy_aware",
                oracle: str = "oracle_lookahead") -> dict[str, Any]:
     """The fraction of the oracle-vs-baseline gap the candidate closed.
@@ -80,14 +81,14 @@ class EvalReport:
 
     Attributes:
         fleet: the evaluated fleet's name.
-        comparison: the grid result over baselines + trained policies.
+        comparison: the fleet study over baselines + trained policies.
         gap: the :func:`oracle_gap` payload for ``learned`` (and the
             quantized variant under ``"quantized"`` when evaluated).
         deployment: the quantized network's MCU footprint summary.
     """
 
     fleet: str
-    comparison: Any
+    comparison: PolicyStudy
     gap: dict[str, Any]
     deployment: dict[str, Any]
 

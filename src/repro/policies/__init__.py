@@ -16,9 +16,12 @@ of the engine behind one call shape,
   ``learned_q`` trained policies (weights ride inside
   ``PolicySpec.params``; training lives in :mod:`repro.learn`);
 * :mod:`repro.policies.grid` — :class:`PolicyGrid` cartesian parameter
-  grids and the ranked :class:`GridResult`, driven by
-  :meth:`repro.scenarios.runner.ScenarioRunner.run_grid` and the
-  ``repro search`` CLI subcommand.
+  grids and :class:`PolicyStudy`, the one ranked result of a grid
+  search over a scenario
+  (:meth:`repro.scenarios.runner.ScenarioRunner.run_grid`,
+  ``repro search``) or a fleet
+  (:meth:`repro.fleet.runner.FleetRunner.run_grid`,
+  ``repro fleet search``).
 
 Third-party policies plug in exactly like other components::
 
@@ -47,9 +50,11 @@ from repro.policies.learned import (
     unknown_policy_message,
 )
 from repro.policies.grid import (
-    GridEntry,
-    GridResult,
+    SCENARIO_STUDY,
     PolicyGrid,
+    PolicyStudy,
+    StudyEntry,
+    StudyKind,
     grids_from_mapping,
     policy_label,
 )
@@ -69,9 +74,11 @@ __all__ = [
     "network_from_params",
     "network_to_params",
     "unknown_policy_message",
-    "GridEntry",
-    "GridResult",
+    "SCENARIO_STUDY",
     "PolicyGrid",
+    "PolicyStudy",
+    "StudyEntry",
+    "StudyKind",
     "grids_from_mapping",
     "policy_label",
 ]

@@ -1,14 +1,16 @@
-"""Policy grid search: cartesian parameter grids and ranked results.
+"""Policy grid search: cartesian parameter grids and ranked studies.
 
 A :class:`PolicyGrid` names one registered policy and the parameter
 axes to sweep; its cartesian product yields one
 :class:`~repro.scenarios.spec.PolicySpec` per grid point.
-:meth:`repro.scenarios.runner.ScenarioRunner.run_grid` runs one
-scenario under every point (reusing the serial/process sweep
-backends) and returns a :class:`GridResult` that ranks the policies by
-how well they kept the watch alive and working: energy-neutral
-outcomes first, then detections delivered per day, then the battery
-margin they finished with.
+:class:`PolicyStudy` is the one ranked result of running those points,
+whatever the subject: :meth:`PolicyStudy.from_grids` expands the grids,
+runs every candidate in one batch and ranks the results by a
+:class:`StudyKind`.  :data:`SCENARIO_STUDY` ranks one scenario's
+outcomes (energy-neutral first, then detections delivered per day,
+then the battery margin they finished with) for
+:meth:`repro.scenarios.runner.ScenarioRunner.run_grid`;
+:data:`repro.fleet.runner.FLEET_STUDY` ranks population results.
 
 Scenario-layer imports are deferred inside methods so this module can
 be imported from anywhere in the package without ordering constraints.
@@ -19,16 +21,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
+                    Mapping, Sequence)
 
 from repro.errors import SpecError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.scenarios.runner import ScenarioOutcome
     from repro.scenarios.spec import PolicySpec
 
-__all__ = ["PolicyGrid", "GridEntry", "GridResult", "expand_grids",
-           "grids_from_mapping", "policy_label"]
+__all__ = ["PolicyGrid", "PolicyStudy", "SCENARIO_STUDY", "StudyEntry",
+           "StudyKind", "expand_grids", "grids_from_mapping",
+           "policy_label"]
 
 
 def policy_label(spec: "PolicySpec") -> str:
@@ -142,8 +145,7 @@ def expand_grids(
     """Flatten one or more grids into unique ``(label, spec)`` pairs.
 
     The shared candidate-enumeration step of every grid search
-    (:meth:`repro.scenarios.runner.ScenarioRunner.run_grid` over one
-    scenario, :meth:`repro.fleet.runner.FleetRunner.run_grid` over a
+    (:meth:`PolicyStudy.from_grids`, over one scenario or over a
     population): grid points are concatenated in grid order, true
     duplicates — identical ``(name, params)`` across all grids — are
     rejected, and distinct points whose compact ``%g`` labels round
@@ -227,56 +229,90 @@ def grids_from_mapping(mapping: Any,
     return grids
 
 
+
+
 @dataclass(frozen=True)
-class GridEntry:
-    """One evaluated grid point: the policy and its scenario outcome."""
+class StudyKind:
+    """All that differs between a scenario study and a fleet study:
+    :data:`SCENARIO_STUDY` (below) and
+    :data:`repro.fleet.runner.FLEET_STUDY`.
+
+    Attributes:
+        subject: the payload key naming what was studied.
+        payload: the ranking entry's key for its result.
+        rank_key: result -> sort key; the smallest key ranks first.
+        columns: the table's result columns after rank and policy, as
+            ``(header, cell)`` pairs where ``cell(result)`` renders to
+            the header's width.
+    """
+
+    subject: str
+    payload: str
+    rank_key: Callable[[Any], tuple]
+    columns: tuple[tuple[str, Callable[[Any], str]], ...]
+
+
+@dataclass(frozen=True)
+class StudyEntry:
+    """One evaluated candidate: its label, its policy and its result."""
 
     label: str
     policy: "PolicySpec"
-    outcome: "ScenarioOutcome"
-
-    @property
-    def rank_key(self) -> tuple:
-        """Sort key: neutral first, most detections, best final SoC."""
-        return (not self.outcome.energy_neutral,
-                -self.outcome.detections_per_day,
-                -self.outcome.final_soc)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "policy": self.policy.to_dict(),
-            "outcome": self.outcome.to_dict(),
-        }
+    result: Any
 
 
 @dataclass(frozen=True)
-class GridResult:
-    """Outcome of a policy grid search over one scenario.
+class PolicyStudy:
+    """A policy grid evaluated on one subject, ranked best-first.
 
     Attributes:
-        scenario: the swept scenario's name.
-        entries: one entry per grid point, in grid order.
-        backend: the runner backend that executed the sweep
-            (provenance; not part of the canonical dict).
-        wall_time_s: wall-clock spent executing the sweep (ditto).
+        subject: the studied scenario's or fleet's name.
+        entries: one entry per candidate, in grid order.
+        kind: what the results are and how they rank and print.
+        backend: the backend that ran the batch (provenance; not part
+            of the canonical dict).
+        wall_time_s: wall-clock of that batch (ditto).
     """
 
-    scenario: str
-    entries: tuple[GridEntry, ...]
+    subject: str
+    entries: tuple[StudyEntry, ...]
+    kind: StudyKind
     backend: str = ""
     wall_time_s: float = 0.0
 
-    def ranked(self) -> list[GridEntry]:
-        """Entries best-first: energy-neutral, then detections/day,
-        then final state of charge (stable for exact ties)."""
-        return sorted(self.entries, key=lambda entry: entry.rank_key)
+    @classmethod
+    def from_grids(
+            cls, kind: StudyKind, subject: str,
+            grids: PolicyGrid | Iterable[PolicyGrid],
+            run: Callable[[list[tuple[str, "PolicySpec"]]],
+                          tuple[Sequence[Any], str, float]],
+    ) -> "PolicyStudy":
+        """Expand ``grids``, run every candidate in one batch, rank.
+
+        ``run`` receives the :func:`expand_grids` ``(label, spec)``
+        pairs and returns ``(results, backend, wall_time_s)`` with one
+        result per candidate, in order.
+        """
+        candidates = expand_grids(grids)
+        results, backend, wall_time_s = run(candidates)
+        entries = tuple(
+            StudyEntry(label=label, policy=policy, result=result)
+            for (label, policy), result in zip(candidates, results))
+        return cls(subject=subject, entries=entries, kind=kind,
+                   backend=backend, wall_time_s=wall_time_s)
+
+    def ranked(self) -> list[StudyEntry]:
+        """Entries best-first by the kind's rank key (stable for
+        exact ties)."""
+        return sorted(self.entries,
+                      key=lambda entry: self.kind.rank_key(entry.result))
 
     @property
-    def best(self) -> GridEntry:
-        """The top-ranked grid point."""
+    def best(self) -> StudyEntry:
+        """The top-ranked candidate."""
         if not self.entries:
-            raise SpecError("empty grid result has no best entry")
+            raise SpecError(
+                f"empty {self.kind.subject} study has no best entry")
         return self.ranked()[0]
 
     @property
@@ -285,28 +321,41 @@ class GridResult:
         return sorted({entry.policy.name for entry in self.entries})
 
     def to_dict(self) -> dict[str, Any]:
-        """Canonical payload: ranking only, no timing provenance.
-
-        A pure function of (scenario, grids) — identical on every
-        backend and run — so ``repro search --json`` output and the
-        result store's cached ``/search`` payloads are byte-identical
-        under the shared canonical encoder.  ``backend`` and
-        ``wall_time_s`` stay on the object.
-        """
+        """Canonical payload: ranking only, no timing provenance — a
+        pure function of (subject, grids), identical on every backend,
+        so ``--json`` output and stored search payloads never drift."""
         return {
-            "scenario": self.scenario,
-            "ranking": [entry.to_dict() for entry in self.ranked()],
+            self.kind.subject: self.subject,
+            "ranking": [{"label": entry.label,
+                         "policy": entry.policy.to_dict(),
+                         self.kind.payload: entry.result.to_dict()}
+                        for entry in self.ranked()],
         }
 
     def format_table(self) -> str:
         """A fixed-width best-first ranking report."""
-        header = (f"{'rank':>4s} {'policy':42s} {'neutral':>7s} "
-                  f"{'det/day':>9s} {'SoC end':>8s}")
+        columns = self.kind.columns
+        header = " ".join([f"{'rank':>4s} {'policy':42s}",
+                           *(title for title, _ in columns)])
         lines = [header, "-" * len(header)]
         for position, entry in enumerate(self.ranked(), start=1):
-            o = entry.outcome
-            lines.append(
-                f"{position:4d} {entry.label:42s} "
-                f"{'yes' if o.energy_neutral else 'NO':>7s} "
-                f"{o.detections_per_day:9.0f} {100 * o.final_soc:7.1f}%")
+            lines.append(" ".join([f"{position:4d} {entry.label:42s}",
+                                   *(cell(entry.result)
+                                     for _, cell in columns)]))
         return "\n".join(lines)
+
+
+#: One scenario under every candidate: energy-neutral outcomes first,
+#: then detections delivered per day, then the final state of charge.
+SCENARIO_STUDY = StudyKind(
+    subject="scenario",
+    payload="outcome",
+    rank_key=lambda o: (not o.energy_neutral, -o.detections_per_day,
+                        -o.final_soc),
+    columns=(
+        (f"{'neutral':>7s}",
+         lambda o: f"{'yes' if o.energy_neutral else 'NO':>7s}"),
+        (f"{'det/day':>9s}", lambda o: f"{o.detections_per_day:9.0f}"),
+        (f"{'SoC end':>8s}", lambda o: f"{100 * o.final_soc:7.1f}%"),
+    ),
+)

@@ -28,7 +28,8 @@ with the per-scenario outcomes in input order plus provenance metadata
 identical outcomes (simulations are deterministic and share no state).
 :meth:`ScenarioRunner.run_grid` reuses the same backends to sweep one
 scenario under a policy grid (:class:`~repro.policies.grid.PolicyGrid`),
-returning a ranked :class:`~repro.policies.grid.GridResult`.
+returning a ranked :class:`~repro.policies.grid.PolicyStudy` of kind
+:data:`~repro.policies.grid.SCENARIO_STUDY`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import dataclasses
 import time
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.core.simulation import DaySimulation, SimulationResult
 from repro.errors import SpecError
@@ -46,6 +47,9 @@ from repro.pool.worker import crash_hook
 from repro.scenarios.builder import build_simulation
 from repro.scenarios.spec import ScenarioSpec, check_mapping_keys
 from repro.units import SECONDS_PER_DAY
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.policies.grid import PolicyStudy
 
 __all__ = ["ScenarioOutcome", "SweepResult", "lean_simulation",
            "run_scenario", "run_scenario_chunk", "spec_delta",
@@ -299,7 +303,7 @@ class ScenarioRunner:
                            for payload in results),
             backend=used, wall_time_s=time.perf_counter() - started)
 
-    def run_grid(self, scenario: ScenarioSpec, grid) -> "GridResult":
+    def run_grid(self, scenario: ScenarioSpec, grid) -> "PolicyStudy":
         """Run ``scenario`` under every point of a policy grid.
 
         Args:
@@ -310,25 +314,21 @@ class ScenarioRunner:
                 on any backend, including the process pool.
 
         Returns:
-            A ranked :class:`~repro.policies.grid.GridResult`.
+            A ranked :class:`~repro.policies.grid.PolicyStudy` whose
+            entries' results are :class:`ScenarioOutcome`.
         """
         # Deferred: repro.policies builds on this package.
-        from repro.policies.grid import GridEntry, GridResult, expand_grids
+        from repro.policies.grid import SCENARIO_STUDY, PolicyStudy
 
-        candidates = expand_grids(grid)
-        variants = [
-            dataclasses.replace(
-                scenario,
-                name=f"{scenario.name}::{label}",
-                system=dataclasses.replace(scenario.system, policy=point),
-            )
-            for label, point in candidates
-        ]
-        sweep = self.run_batch(variants)
-        entries = tuple(
-            GridEntry(label=label, policy=point, outcome=outcome)
-            for (label, point), outcome in zip(candidates, sweep.outcomes)
-        )
-        return GridResult(scenario=scenario.name, entries=entries,
-                          backend=sweep.backend,
-                          wall_time_s=sweep.wall_time_s)
+        def sweep(candidates):
+            result = self.run_batch(
+                dataclasses.replace(
+                    scenario,
+                    name=f"{scenario.name}::{label}",
+                    system=dataclasses.replace(scenario.system,
+                                               policy=point))
+                for label, point in candidates)
+            return result.outcomes, result.backend, result.wall_time_s
+
+        return PolicyStudy.from_grids(SCENARIO_STUDY, scenario.name, grid,
+                                      sweep)

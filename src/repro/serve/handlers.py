@@ -36,7 +36,7 @@ from typing import Any, Callable, Mapping
 from repro.errors import ReproError, SpecError
 from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import FleetSpec
-from repro.policies.grid import expand_grids, grids_from_mapping
+from repro.policies.grid import PolicyGrid, expand_grids, grids_from_mapping
 from repro.scenarios.library import get_scenario, scenario_names
 from repro.scenarios.runner import ScenarioRunner, run_scenario
 from repro.scenarios.spec import (
@@ -216,23 +216,28 @@ class ServeService:
         payload, state = self.store.fetch_or_compute(digest, compute)
         return ServeResponse(status=200, body=payload + b"\n", cache=state)
 
+    def _fetch_study(self, digest_kind: str, subject_key: str,
+                     subject: Any, grids: list[PolicyGrid],
+                     compute: Callable[[], Any]) -> tuple[bytes, str]:
+        """The policy-study fetch: address ``{subject_key: subject,
+        candidates}`` under ``digest_kind``, run ``compute`` on a miss."""
+        digest = request_digest(digest_kind, {
+            subject_key: subject.to_dict(),
+            "candidates": [point.to_dict()
+                           for _, point in expand_grids(grids)],
+        })
+        return self.store.fetch_or_compute(
+            digest, lambda: canonical_json_bytes(compute()))
+
     def _search(self, body: Mapping[str, Any]) -> ServeResponse:
         check_mapping_keys("search request", body,
                            {"scenario", "grid", "policies"},
                            required={"scenario"})
         spec = self._scenario_spec(body)
         grids = self._grids(body)
-        candidates = expand_grids(grids)
-        digest = request_digest("search", {
-            "scenario": spec.to_dict(),
-            "candidates": [point.to_dict() for _, point in candidates],
-        })
-
-        def compute() -> bytes:
-            result = self.runner.run_grid(spec, grids)
-            return canonical_json_bytes(result.to_dict())
-
-        payload, state = self.store.fetch_or_compute(digest, compute)
+        payload, state = self._fetch_study(
+            "search", "scenario", spec, grids,
+            lambda: self.runner.run_grid(spec, grids).to_dict())
         return ServeResponse(status=200, body=payload + b"\n", cache=state)
 
     def _fleet_run(self, body: Mapping[str, Any]) -> ServeResponse:
@@ -258,18 +263,11 @@ class ServeService:
         """
         fleet = self._fleet_spec(body)
         grids = self._grids(body)
-        candidates = expand_grids(grids)
-        digest = request_digest("fleet_search", {
-            "fleet": fleet.to_dict(),
-            "candidates": [point.to_dict() for _, point in candidates],
-        })
-
-        def compute() -> bytes:
-            result = self.fleet_runner.run_grid(fleet, grids)
-            return canonical_json_bytes(
-                {"spec": fleet.to_dict(), "search": result.to_dict()})
-
-        return self.store.fetch_or_compute(digest, compute)
+        return self._fetch_study(
+            "fleet_search", "fleet", fleet, grids,
+            lambda: {"spec": fleet.to_dict(),
+                     "search": self.fleet_runner.run_grid(
+                         fleet, grids).to_dict()})
 
     def _fleet_search(self, body: Mapping[str, Any]) -> ServeResponse:
         check_mapping_keys("fleet search request", body,

@@ -13,8 +13,8 @@ import json
 import pytest
 
 from repro.errors import SpecError
-from repro.fleet import (FleetResult, FleetRunner, FleetSpec, SamplerSpec,
-                         wearer_scenarios)
+from repro.fleet import (FLEET_STUDY, FleetResult, FleetRunner, FleetSpec,
+                         SamplerSpec, wearer_scenarios)
 from repro.fleet.population import with_policy
 from repro.policies import PolicyGrid
 from repro.policies.grid import expand_grids
@@ -37,14 +37,11 @@ class TestRunGrid:
     def test_ranks_eight_candidates(self):
         result = FleetRunner(workers=1, backend="serial").run_grid(
             SMALL, GRIDS)
-        assert result.fleet == "grid_small"
+        assert result.subject == "grid_small"
+        assert result.kind is FLEET_STUDY
         assert len(result.entries) == 8
         assert result.policy_names == ["energy_aware", "ewma_forecast",
                                        "static_duty_cycle"]
-        ranked = result.ranked()
-        assert [e.rank_key for e in ranked] == \
-            sorted(e.rank_key for e in result.entries)
-        assert result.best.label == ranked[0].label
 
     def test_matches_brute_force_reference(self):
         """The grid search is one plain scenario sweep of the sampled
@@ -109,9 +106,6 @@ class TestRunGrid:
         runner = FleetRunner(workers=1, backend="serial")
         with pytest.raises(SpecError, match="at least one grid"):
             runner.run_grid(SMALL, [])
-        with pytest.raises(SpecError, match="no best entry"):
-            from repro.fleet import FleetGridResult
-            _ = FleetGridResult(fleet="empty", entries=()).best
 
 
 class TestBackendInvariance:
@@ -153,4 +147,5 @@ class TestCompareOrdering:
                 fraction_energy_neutral=0.5,
                 final_soc=dataclasses.replace(entry.result.final_soc,
                                               p5=1.0)))
-        assert entry.rank_key < better_soc.rank_key
+        assert (FLEET_STUDY.rank_key(entry.result)
+                < FLEET_STUDY.rank_key(better_soc.result))

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.errors import SpecError
-from repro.policies import GridResult, PolicyGrid, policy_label
+from repro.policies import (SCENARIO_STUDY, PolicyGrid, PolicyStudy,
+                            policy_label)
 from repro.scenarios import PolicySpec, ScenarioRunner, get_scenario
 
 
@@ -61,20 +62,22 @@ class TestRunGrid:
     ]
 
     @pytest.fixture(scope="class")
-    def result(self) -> GridResult:
+    def result(self) -> PolicyStudy:
         scenario = get_scenario("paper_indoor_worst_case")
         return ScenarioRunner(backend="serial").run_grid(scenario, self.GRIDS)
 
     def test_one_entry_per_grid_point(self, result):
         assert len(result.entries) == sum(len(g) for g in self.GRIDS)
-        assert result.scenario == "paper_indoor_worst_case"
+        assert result.subject == "paper_indoor_worst_case"
+        assert result.kind is SCENARIO_STUDY
         assert result.backend == "serial"
         assert result.wall_time_s > 0.0
 
-    def test_ranking_orders_best_first(self, result):
-        keys = [entry.rank_key for entry in result.ranked()]
-        assert keys == sorted(keys)
-        assert result.best is result.ranked()[0]
+    def test_ranks_neutral_then_detections_then_soc(self, result):
+        for entry in result.entries:
+            o = entry.result
+            assert SCENARIO_STUDY.rank_key(o) == (
+                not o.energy_neutral, -o.detections_per_day, -o.final_soc)
 
     def test_distinct_policies_compete(self, result):
         assert result.policy_names == ["energy_aware", "ewma_forecast",
@@ -91,6 +94,7 @@ class TestRunGrid:
 
     def test_format_table_lists_every_label(self, result):
         table = result.format_table()
+        assert "det/day" in table and "SoC end" in table
         for entry in result.entries:
             assert entry.label in table
 
@@ -132,8 +136,8 @@ class TestRunGrid:
                                                            self.GRIDS)
         process = ScenarioRunner(workers=4, backend="process").run_grid(
             scenario, self.GRIDS)
-        assert [e.outcome for e in process.entries] == \
-            [e.outcome for e in serial.entries]
+        assert [e.result for e in process.entries] == \
+            [e.result for e in serial.entries]
 
 
 class TestProcessBackendAcceptance:
@@ -153,7 +157,7 @@ class TestProcessBackendAcceptance:
         assert scenario.duration_s is None  # runs the full 7-day timeline
         assert len(result.policy_names) >= 3
         serial = ScenarioRunner(backend="serial").run_grid(scenario, grids)
-        assert [e.outcome for e in result.entries] == \
-            [e.outcome for e in serial.entries]
+        assert [e.result for e in result.entries] == \
+            [e.result for e in serial.entries]
         assert [e.label for e in result.ranked()] == \
             [e.label for e in serial.ranked()]
