@@ -29,7 +29,8 @@ from typing import Any, Callable, Mapping
 
 from repro.errors import SpecError
 from repro.scenarios.registry import ComponentRegistry
-from repro.scenarios.spec import BatterySpec, FaultSpec, SegmentSpec
+from repro.scenarios.spec import (BatterySpec, FaultSpec, SegmentSpec,
+                                  merge_numeric_params)
 
 __all__ = ["AXES", "ScenarioDraft", "register_axis", "axis_names"]
 
@@ -70,23 +71,6 @@ class ScenarioDraft:
 ApplyFn = Callable[[ScenarioDraft, Any], None]
 
 
-def _params(what: str, params: Mapping[str, Any],
-            defaults: Mapping[str, float]) -> dict[str, float]:
-    """Merge axis params over defaults, rejecting unknown keys."""
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise SpecError(
-            f"unknown {what} axis params: {sorted(unknown)} "
-            f"(known: {sorted(defaults)})")
-    merged = dict(defaults)
-    merged.update(params)
-    for key, value in merged.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SpecError(
-                f"{what} axis param {key!r} must be a number, got {value!r}")
-    return merged
-
-
 def _check_range(what: str, low_key: str, high_key: str,
                  p: Mapping[str, float]) -> None:
     if p[low_key] > p[high_key]:
@@ -110,8 +94,8 @@ def _build_polar_winter(params: Mapping[str, Any]) -> ApplyFn:
     Params: ``min_scale``/``max_scale`` — the per-case lux multiplier
     is drawn uniformly from this range.
     """
-    p = _params("polar_winter", params,
-                {"min_scale": 0.02, "max_scale": 0.3})
+    p = merge_numeric_params("polar_winter", "axis", params,
+                             {"min_scale": 0.02, "max_scale": 0.3})
     _check_range("polar_winter", "min_scale", "max_scale", p)
     if p["min_scale"] < 0:
         raise SpecError("polar_winter axis: min_scale cannot be negative")
@@ -135,9 +119,9 @@ def _build_sensor_fault_storm(params: Mapping[str, Any]) -> ApplyFn:
     Params: ``max_windows`` (1..n drawn per case), window length range
     ``min_minutes``/``max_minutes``.
     """
-    p = _params("sensor_fault_storm", params,
-                {"max_windows": 5, "min_minutes": 10.0,
-                 "max_minutes": 120.0})
+    p = merge_numeric_params("sensor_fault_storm", "axis", params,
+                             {"max_windows": 5, "min_minutes": 10.0,
+                              "max_minutes": 120.0})
     _check_range("sensor_fault_storm", "min_minutes", "max_minutes", p)
     if p["max_windows"] < 1:
         raise SpecError(
@@ -161,9 +145,10 @@ def _build_harvester_occlusion(params: Mapping[str, Any]) -> ApplyFn:
     Params: ``max_windows``, remaining-intake ``min_scale``/
     ``max_scale``, window length range ``min_hours``/``max_hours``.
     """
-    p = _params("harvester_occlusion", params,
-                {"max_windows": 3, "min_scale": 0.0, "max_scale": 0.5,
-                 "min_hours": 0.5, "max_hours": 8.0})
+    p = merge_numeric_params("harvester_occlusion", "axis", params,
+                             {"max_windows": 3, "min_scale": 0.0,
+                              "max_scale": 0.5, "min_hours": 0.5,
+                              "max_hours": 8.0})
     _check_range("harvester_occlusion", "min_scale", "max_scale", p)
     _check_range("harvester_occlusion", "min_hours", "max_hours", p)
     if not 0.0 <= p["min_scale"] <= 1.0 or not 0.0 <= p["max_scale"] <= 1.0:
@@ -194,10 +179,10 @@ def _build_brownout_cascade(params: Mapping[str, Any]) -> ApplyFn:
     ``max_extra_w``, per-spike length range ``min_minutes``/
     ``max_minutes``.
     """
-    p = _params("brownout_cascade", params,
-                {"max_spikes": 4, "min_extra_w": 0.002,
-                 "max_extra_w": 0.02, "min_minutes": 15.0,
-                 "max_minutes": 180.0})
+    p = merge_numeric_params("brownout_cascade", "axis", params,
+                             {"max_spikes": 4, "min_extra_w": 0.002,
+                              "max_extra_w": 0.02, "min_minutes": 15.0,
+                              "max_minutes": 180.0})
     _check_range("brownout_cascade", "min_extra_w", "max_extra_w", p)
     _check_range("brownout_cascade", "min_minutes", "max_minutes", p)
     if p["min_extra_w"] <= 0:
@@ -234,8 +219,8 @@ def _build_battery_aging(params: Mapping[str, Any]) -> ApplyFn:
     Params: ``min_fade``/``max_fade`` — fraction of nameplate capacity
     lost, each in [0, 1).
     """
-    p = _params("battery_aging", params,
-                {"min_fade": 0.1, "max_fade": 0.6})
+    p = merge_numeric_params("battery_aging", "axis", params,
+                             {"min_fade": 0.1, "max_fade": 0.6})
     _check_range("battery_aging", "min_fade", "max_fade", p)
     if not 0.0 <= p["min_fade"] < 1.0 or not 0.0 <= p["max_fade"] < 1.0:
         raise SpecError("battery_aging axis: fades must lie in [0, 1)")

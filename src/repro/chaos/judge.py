@@ -34,15 +34,13 @@ the ledger:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.chaos.spec import JudgeRulesSpec
 from repro.errors import ReproError, SpecError
-from repro.scenarios.builder import build_simulation
-from repro.scenarios.runner import ScenarioOutcome
+from repro.scenarios.runner import ScenarioOutcome, lean_simulation
 from repro.scenarios.spec import ScenarioSpec, check_mapping_keys
 
 __all__ = ["VERDICTS", "LedgerBattery", "Violation", "RunJudgement",
@@ -300,8 +298,5 @@ def judge_simulation(sim, rules: JudgeRulesSpec | None = None,
 
 def judge_scenario(spec: ScenarioSpec,
                    rules: JudgeRulesSpec | None = None) -> RunJudgement:
-    """Build ``spec`` (trace forced off), run it and judge the run."""
-    if spec.trace != "none":
-        spec = dataclasses.replace(spec, trace="none")
-    sim = build_simulation(spec)
-    return judge_simulation(sim, rules, name=spec.name)
+    """Build ``spec`` lean (no per-step trace), run it and judge the run."""
+    return judge_simulation(lean_simulation(spec), rules, name=spec.name)

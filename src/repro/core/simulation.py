@@ -7,12 +7,11 @@ intake and state of charge in, a rate out), charges the battery
 for every detection executed, and records a trace (state of charge,
 intake, rate, detections) for the ablation benches and examples.
 
-:class:`DaySimulation` is a thin engine over injected components — it
-steps whatever harvester/battery/app/policy it is handed and contains
-no construction logic of its own.  Defaults for omitted components are
-resolved through the component registries by
-:mod:`repro.scenarios.builder`, which is also the home of the
-spec-driven construction path (``build_simulation(spec)``).
+:class:`DaySimulation` is a thin engine over injected components: it
+steps exactly the timeline, harvester, battery, policy and detection
+energy it is handed, and builds none of them.  This module imports
+nothing from the spec or policy layers; the one construction path from
+a spec is :func:`repro.scenarios.builder.build_simulation`.
 
 The stepping loop is segment-walking: it keeps a cursor into the
 timeline's precomputed segment boundaries and re-evaluates the
@@ -29,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from repro.core.manager import EnergyAwareManager
 from repro.errors import SimulationError
 from repro.harvest.environment import (
     EnvironmentTimeline,
@@ -58,10 +56,13 @@ def step_grid(horizon_s: float, step_s: float,
     >>> step_grid(150.0, 60.0)
     ((0.0, 60.0, 120.0), (60.0, 60.0, 30.0))
     """
-    if step_s <= 0:
-        raise SimulationError("step size must be positive")
-    if horizon_s <= 0:
-        raise SimulationError("simulation horizon must be positive")
+    if not 0.0 < step_s < math.inf:
+        raise SimulationError(
+            f"step size must be positive and finite, got {step_s!r}")
+    if not 0.0 < horizon_s < math.inf:
+        raise SimulationError(
+            f"simulation horizon must be positive and finite, got "
+            f"{horizon_s!r}")
     times: list[float] = []
     dts: list[float] = []
     t = 0.0
@@ -193,37 +194,32 @@ class SimulationResult:
 
 
 class DaySimulation:
-    """Simulates the watch over an environment timeline.
+    """Steps the watch over an environment timeline.
+
+    The engine builds nothing: it steps exactly the parts it is
+    handed.  :func:`repro.scenarios.builder.build_simulation` is the
+    one way to assemble those parts from a spec.
 
     Args:
         timeline: the environment over the horizon.
-        app: detection application (defaults to Network A on the
-            8-core cluster, built from the component registries).
-        harvester: harvesting chain (defaults to the calibrated dual
-            chain from the registries).
-        battery: storage (defaults to the 120 mAh cell at 50 %).
+        harvester: harvesting chain (anything with
+            ``battery_intake_w(lighting, thermal)``).
+        battery: storage.
         policy: the decision-maker: a
             :class:`repro.policies.base.Policy` protocol object
             (anything with ``max_rate_per_min`` and
             ``decide(time_s, step_s, harvest_power_w, state_of_charge)``).
-            Defaults to the paper-shaped energy-aware policy.  Custom
-            thresholds are spelled
-            ``EnergyAwarePolicy(EnergyAwareManager(E, thresholds))``;
-            the wrapped manager stays reachable as ``self.manager``
-            and supplies the detection energy ``E``, so no default app
-            is built for it.
+            Custom manager thresholds are spelled
+            ``EnergyAwarePolicy(EnergyAwareManager(E, thresholds))``.
+        detection_energy_j: energy of one detection, in joules.
         step_s: simulation step size.
         sleep_power_w: baseline watch draw on top of detections.  The
             Table I/II intake numbers already include the sleeping
             watch's quiescent current, so the default only charges the
             *additional* always-on overhead beyond deep sleep; pass a
             larger value to model heavier standby activity.
-        detection_energy_j: energy of one detection; derived from
-            ``app`` (or the policy's wrapped manager) when omitted.
-            Passing it avoids re-pricing the app when the caller
-            already has the number.
-        duration_s: default horizon for :meth:`run` (``None`` runs the
-            whole timeline); a ``run``-time argument still wins.
+        duration_s: the horizon :meth:`run` steps (``None`` runs the
+            whole timeline).
         trace: per-step trace retention — a :class:`TraceMode` or its
             string form (``"full"``, ``"none"``, ``"decimated:<n>"``).
             Summary totals stay exact in every mode; only the
@@ -235,81 +231,55 @@ class DaySimulation:
     """
 
     def __init__(self, timeline: EnvironmentTimeline,
-                 app=None,
-                 harvester: HarvestChain | None = None,
-                 battery=None,
-                 policy=None,
+                 harvester: HarvestChain,
+                 battery,
+                 policy,
+                 detection_energy_j: float,
+                 *,
                  step_s: float = 60.0,
                  sleep_power_w: float = SYSTEM_SLEEP_W,
-                 detection_energy_j: float | None = None,
                  duration_s: float | None = None,
                  trace: TraceMode | str = "full",
                  faults=None) -> None:
-        if step_s <= 0:
-            raise SimulationError("step size must be positive")
-        if sleep_power_w < 0:
-            raise SimulationError("sleep power cannot be negative")
-        if duration_s is not None and duration_s <= 0:
-            raise SimulationError("default duration must be positive")
-        if detection_energy_j is not None and not (
-                0.0 < detection_energy_j < math.inf):
+        # Written as "not inside the range" so NaN fails every guard.
+        if not 0.0 < step_s < math.inf:
+            raise SimulationError(
+                f"step size must be positive and finite, got {step_s!r}")
+        if not 0.0 <= sleep_power_w < math.inf:
+            raise SimulationError(
+                f"sleep power must be non-negative and finite, got "
+                f"{sleep_power_w!r}")
+        if duration_s is not None and not 0.0 < duration_s < math.inf:
+            raise SimulationError(
+                f"duration must be positive and finite, got {duration_s!r}")
+        if not 0.0 < detection_energy_j < math.inf:
             raise SimulationError(
                 f"detection energy must be positive and finite, got "
                 f"{detection_energy_j!r}")
-        if policy is not None and not hasattr(policy, "decide"):
+        if not hasattr(policy, "decide"):
             raise SimulationError(
                 f"policy must implement decide(time_s, step_s, "
                 f"harvest_power_w, state_of_charge), got "
                 f"{type(policy).__name__}; wrap manager thresholds as "
                 "EnergyAwarePolicy(EnergyAwareManager(E, thresholds))")
-        # A policy wrapping a pre-built manager (EnergyAwarePolicy does)
-        # keeps it reachable as self.manager and supplies the detection
-        # energy, so the default app is neither built nor priced.  The
-        # isinstance check keeps the probe off third-party policies
-        # whose unrelated ``manager`` attribute would be mispriced (or
-        # lack detection_energy_j entirely).
-        manager = getattr(policy, "manager", None)
-        if not isinstance(manager, EnergyAwareManager):
-            manager = None
-        if detection_energy_j is None and manager is not None:
-            detection_energy_j = manager.detection_energy_j
-        needs_default_app = app is None and detection_energy_j is None
-        if harvester is None or battery is None or needs_default_app:
-            # Deferred so the engine has no import-time dependency on
-            # the construction layer (which imports this module).
-            from repro.scenarios import builder
-            if needs_default_app:
-                app = builder.build_app()
-            if harvester is None:
-                harvester = builder.build_harvester(cached=True)
-            if battery is None:
-                battery = builder.build_battery()
-        if detection_energy_j is None:
-            detection_energy_j = app.energy_budget().total_j
-        if policy is None:
-            from repro.policies.library import EnergyAwarePolicy
-            manager = EnergyAwareManager(detection_energy_j)
-            policy = EnergyAwarePolicy(manager)
-        self.timeline = timeline
-        self.app = app
-        self.harvester = harvester
-        self.battery = battery
-        self.detection_energy_j = detection_energy_j
-        self.policy = policy
-        self.manager = manager
-        self.step_s = step_s
-        self.sleep_power_w = sleep_power_w
-        self.duration_s = duration_s
-        self.trace = TraceMode.parse(trace)
         if faults is not None and not hasattr(faults, "intervals"):
             raise SimulationError(
                 f"faults must be a FaultTimeline (or None), "
                 f"got {type(faults).__name__}")
+        self.timeline = timeline
+        self.harvester = harvester
+        self.battery = battery
+        self.policy = policy
+        self.detection_energy_j = detection_energy_j
+        self.step_s = step_s
+        self.sleep_power_w = sleep_power_w
+        self.duration_s = duration_s
+        self.trace = TraceMode.parse(trace)
         self.faults = faults
 
-    def run(self, duration_s: float | None = None) -> SimulationResult:
-        """Run over ``duration_s`` (default: the constructor's
-        ``duration_s``, else the whole timeline).
+    def run(self) -> SimulationResult:
+        """Run over the constructor's ``duration_s``, else the whole
+        timeline.
 
         The loop walks the timeline's segments with a cursor instead of
         scanning from ``t=0`` on every step, and re-evaluates the
@@ -319,10 +289,8 @@ class DaySimulation:
         and carry operations — and therefore every number on the result
         — is identical to stepping ``timeline.at(t)`` naively.
         """
-        if duration_s is None:
-            duration_s = self.duration_s
         horizon = (self.timeline.total_duration_s
-                   if duration_s is None else duration_s)
+                   if self.duration_s is None else self.duration_s)
         if horizon <= 0:
             raise SimulationError("simulation horizon must be positive")
         battery = self.battery

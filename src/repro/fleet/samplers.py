@@ -32,7 +32,7 @@ from typing import Any, Mapping, Protocol, Sequence, runtime_checkable
 from repro.errors import RegistryError, SpecError
 from repro.fleet.spec import SamplerSpec
 from repro.scenarios.registry import ComponentRegistry
-from repro.scenarios.spec import SegmentSpec
+from repro.scenarios.spec import SegmentSpec, merge_numeric_params
 
 __all__ = [
     "TimelineSampler",
@@ -86,28 +86,6 @@ def build_sampler(spec: SamplerSpec) -> TimelineSampler:
             f"unknown sampler {spec.name!r}; registered samplers: "
             f"{SAMPLERS.names()}") from None
     return factory(spec.params)
-
-
-def _merge_params(name: str, params: Mapping[str, Any],
-                  defaults: Mapping[str, Any]) -> dict[str, Any]:
-    """Defaults overlaid with ``params``; unknown keys are a SpecError.
-
-    Every built-in sampler knob is numeric, so non-number values are
-    rejected here with the knob name in the message.
-    """
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise SpecError(
-            f"unknown {name!r} sampler params: {sorted(unknown)} "
-            f"(known: {sorted(defaults)})")
-    for key, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SpecError(
-                f"{name} sampler param {key!r} must be a number, "
-                f"got {value!r}")
-    merged = dict(defaults)
-    merged.update(params)
-    return merged
 
 
 def _check_sigma(name: str, merged: Mapping[str, Any]) -> None:
@@ -253,13 +231,13 @@ class CloudyStreaksSampler:
 
 @register_sampler("identity")
 def _build_identity(params: Mapping[str, Any]) -> IdentitySampler:
-    _merge_params("identity", params, {})
+    merge_numeric_params("identity", "sampler", params, {})
     return IdentitySampler()
 
 
 @register_sampler("daily_jitter")
 def _build_daily_jitter(params: Mapping[str, Any]) -> DailyJitterSampler:
-    merged = _merge_params("daily_jitter", params, {
+    merged = merge_numeric_params("daily_jitter", "sampler", params, {
         "duration_sigma": 0.10,
         "lux_sigma": 0.35,
         "ambient_sigma_c": 2.0,
@@ -272,7 +250,7 @@ def _build_daily_jitter(params: Mapping[str, Any]) -> DailyJitterSampler:
 
 @register_sampler("cloudy_streaks")
 def _build_cloudy_streaks(params: Mapping[str, Any]) -> CloudyStreaksSampler:
-    merged = _merge_params("cloudy_streaks", params, {
+    merged = merge_numeric_params("cloudy_streaks", "sampler", params, {
         "p_enter": 0.3,
         "p_exit": 0.4,
         "cloudy_lux_factor": 0.25,

@@ -28,17 +28,11 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.errors import SpecError
-from repro.scenarios.spec import check_mapping_keys
+from repro.scenarios.spec import check_mapping, check_mapping_keys
 
 __all__ = ["SamplerSpec", "FleetSpec", "load_fleet_file"]
 
 _PARAM_SCALARS = (bool, int, float, str)
-
-
-def _check_dict(data: Any, what: str) -> Mapping[str, Any]:
-    if not isinstance(data, Mapping):
-        raise SpecError(f"{what} must be a mapping, got {type(data).__name__}")
-    return data
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,7 @@ class SamplerSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise SpecError("sampler name cannot be empty")
-        params = _check_dict(self.params, "SamplerSpec params")
+        params = check_mapping("SamplerSpec params", self.params)
         for key, value in params.items():
             if not isinstance(key, str) or not key:
                 raise SpecError(

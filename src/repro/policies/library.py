@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from bisect import bisect_right
 from typing import Any, Mapping
 
@@ -58,6 +57,7 @@ from repro.core.manager import (EnergyAwareManager, ManagerPolicy,
 from repro.errors import ConfigurationError, SpecError
 from repro.policies.base import PolicyContext
 from repro.scenarios.registry import POLICIES, register_policy
+from repro.scenarios.spec import merge_numeric_params
 
 __all__ = [
     "EnergyAwarePolicy",
@@ -71,35 +71,6 @@ __all__ = [
 def policy_names() -> list[str]:
     """All registered policy names, sorted."""
     return POLICIES.names()
-
-
-def _merge_params(name: str, params: Mapping[str, Any],
-                  defaults: Mapping[str, Any]) -> dict[str, Any]:
-    """Defaults overlaid with ``params``; unknown keys are a SpecError.
-
-    Every built-in policy knob is numeric, so non-number values (the
-    spec layer admits any JSON scalar) are rejected here with the knob
-    name instead of surfacing as a ``TypeError`` inside a comparison.
-    """
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise SpecError(
-            f"unknown {name!r} policy params: {sorted(unknown)} "
-            f"(known: {sorted(defaults)})")
-    for key, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SpecError(
-                f"{name} policy param {key!r} must be a number, "
-                f"got {value!r}")
-        # Fails for NaN and +/-inf, and (unlike math.isfinite, which
-        # overflows) for JSON integers past the float range.
-        if not abs(value) <= sys.float_info.max:
-            raise SpecError(
-                f"{name} policy param {key!r} must be finite, "
-                f"got {value!r}")
-    merged = dict(defaults)
-    merged.update(params)
-    return merged
 
 
 def _column(values) -> np.ndarray:
@@ -395,7 +366,8 @@ _BAND_DEFAULTS: dict[str, Any] = dataclasses.asdict(ManagerPolicy())
 @register_policy("energy_aware")
 def _build_energy_aware(params: Mapping[str, Any],
                         context: PolicyContext) -> EnergyAwarePolicy:
-    merged = _merge_params("energy_aware", params, _BAND_DEFAULTS)
+    merged = merge_numeric_params("energy_aware", "policy", params,
+                                  _BAND_DEFAULTS)
     return EnergyAwarePolicy(_band_manager(
         "energy_aware", context.detection_energy_j, merged))
 
@@ -403,24 +375,25 @@ def _build_energy_aware(params: Mapping[str, Any],
 @register_policy("static_duty_cycle")
 def _build_static_duty_cycle(params: Mapping[str, Any],
                              context: PolicyContext) -> StaticDutyCyclePolicy:
-    merged = _merge_params("static_duty_cycle", params,
-                           {"rate_per_min": 6.0})
+    merged = merge_numeric_params("static_duty_cycle", "policy", params,
+                                  {"rate_per_min": 6.0})
     return StaticDutyCyclePolicy(**merged)
 
 
 @register_policy("ewma_forecast")
 def _build_ewma_forecast(params: Mapping[str, Any],
                          context: PolicyContext) -> EwmaForecastPolicy:
-    merged = _merge_params("ewma_forecast", params,
-                           {"alpha": 0.25, **_BAND_DEFAULTS})
+    merged = merge_numeric_params("ewma_forecast", "policy", params,
+                                  {"alpha": 0.25, **_BAND_DEFAULTS})
     return EwmaForecastPolicy(context.detection_energy_j, **merged)
 
 
 @register_policy("oracle_lookahead")
 def _build_oracle_lookahead(params: Mapping[str, Any],
                             context: PolicyContext) -> OracleLookaheadPolicy:
-    merged = _merge_params("oracle_lookahead", params,
-                           {"lookahead_s": 6 * 3600.0, **_BAND_DEFAULTS})
+    merged = merge_numeric_params(
+        "oracle_lookahead", "policy", params,
+        {"lookahead_s": 6 * 3600.0, **_BAND_DEFAULTS})
     if context.timeline is None or context.harvester is None:
         raise SpecError(
             "oracle_lookahead needs the built timeline and harvester in its "

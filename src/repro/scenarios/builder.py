@@ -1,11 +1,11 @@
 """Turn declarative specs into live simulation objects.
 
-:func:`build_simulation` is the single construction path from a
+:func:`build_simulation` is the one construction path from a
 :class:`~repro.scenarios.spec.ScenarioSpec` to a runnable
 :class:`~repro.core.simulation.DaySimulation`.  All component defaults
-live here (resolved through the registries), which keeps the engine in
-:mod:`repro.core.simulation` a thin stepper over injected parts — the
-engine asks this module for defaults instead of hard-wiring them.
+live here (resolved through the registries); the engine in
+:mod:`repro.core.simulation` is a thin stepper that builds nothing and
+steps exactly the parts this module hands it.
 
 Every spec-built harvester chain is wrapped in a
 :class:`~repro.harvest.dual.CachedHarvester` (pass
@@ -134,9 +134,8 @@ def build_simulation(scenario: ScenarioSpec, *,
     """
     system: SystemSpec = scenario.system
     timeline = build_timeline(scenario.timeline)
-    app = build_app(system.app)
     harvester = build_harvester(system.harvester, cached=cache_harvest)
-    detection_energy_j = app.energy_budget().total_j
+    detection_energy_j = build_app(system.app).energy_budget().total_j
     policy = build_policy(system.policy, PolicyContext(
         detection_energy_j=detection_energy_j,
         sleep_power_w=system.sleep_power_w,
@@ -146,13 +145,12 @@ def build_simulation(scenario: ScenarioSpec, *,
     ))
     return DaySimulation(
         timeline=timeline,
-        app=app,
         harvester=harvester,
         battery=build_battery(system.battery),
         policy=policy,
+        detection_energy_j=detection_energy_j,
         step_s=scenario.step_s,
         sleep_power_w=system.sleep_power_w,
-        detection_energy_j=detection_energy_j,
         duration_s=scenario.duration_s,
         trace=scenario.trace,
         faults=build_fault_timeline(scenario.faults),

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
@@ -34,7 +34,10 @@ __all__ = [
     "canonical_json",
     "canonical_json_bytes",
     "spec_digest",
+    "check_mapping",
     "check_mapping_keys",
+    "check_finite",
+    "merge_numeric_params",
     "SegmentSpec",
     "TimelineSpec",
     "FaultSpec",
@@ -99,10 +102,47 @@ def spec_digest(obj: Any) -> str:
     return hashlib.sha256(canonical_json_bytes(obj)).hexdigest()
 
 
-def _check_dict(data: Any, what: str) -> Mapping[str, Any]:
+def check_mapping(what: str, data: Any) -> Mapping[str, Any]:
+    """``data`` itself if it is a mapping, else a SpecError naming ``what``."""
     if not isinstance(data, Mapping):
         raise SpecError(f"{what} must be a mapping, got {type(data).__name__}")
     return data
+
+
+def check_finite(what: str, value: Any) -> None:
+    """Reject a non-finite number with a SpecError naming ``what``.
+
+    ``abs(value) <= max`` fails for NaN and +/-inf and, unlike
+    ``math.isfinite`` (which overflows), for JSON integers past the
+    float range.
+    """
+    if not abs(value) <= sys.float_info.max:
+        raise SpecError(f"{what} must be finite, got {value!r}")
+
+
+def merge_numeric_params(name: str, kind: str, params: Mapping[str, Any],
+                         defaults: Mapping[str, Any]) -> dict[str, Any]:
+    """``defaults`` overlaid with ``params``, every knob a finite number.
+
+    The one merge behind every registry whose knobs are all numeric
+    (policies, fleet samplers, chaos axes; ``kind`` names which).  A
+    spec admits any JSON scalar, so an unknown key, a non-number or a
+    non-finite value fails here with the knob named, instead of as a
+    ``TypeError`` in a comparison or a mid-run error far from the spec.
+    """
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise SpecError(
+            f"unknown {name!r} {kind} params: {sorted(unknown)} "
+            f"(known: {sorted(defaults)})")
+    for key, value in params.items():
+        what = f"{name} {kind} param {key!r}"
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SpecError(f"{what} must be a number, got {value!r}")
+        check_finite(what, value)
+    merged = dict(defaults)
+    merged.update(params)
+    return merged
 
 
 def check_mapping_keys(what: str, data: Any, known,
@@ -115,7 +155,7 @@ def check_mapping_keys(what: str, data: Any, known,
     :class:`~repro.errors.SpecError` naming ``what`` and the key sets,
     so a typo in a JSON file fails with the menu in hand.
     """
-    data = _check_dict(data, what)
+    data = check_mapping(what, data)
     unknown = set(data) - set(known)
     if unknown:
         raise SpecError(
@@ -156,10 +196,7 @@ class SegmentSpec:
 
     def __post_init__(self) -> None:
         for name in ("duration_s", "lux", "ambient_c", "skin_c", "wind_ms"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise SpecError(f"segment {name} must be finite, "
-                                f"got {value!r}")
+            check_finite(f"segment {name}", getattr(self, name))
         if self.duration_s <= 0:
             raise SpecError("segment duration must be positive")
         if self.lux < 0:
@@ -206,7 +243,7 @@ class TimelineSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TimelineSpec":
-        data = _check_dict(data, "TimelineSpec")
+        data = check_mapping("TimelineSpec", data)
         unknown = set(data) - {"name", "segments"}
         if unknown:
             raise SpecError(f"unknown TimelineSpec keys: {sorted(unknown)}")
@@ -294,6 +331,9 @@ class BatterySpec:
     def __post_init__(self) -> None:
         if not self.kind:
             raise SpecError("battery kind cannot be empty")
+        for name in ("capacity_mah", "internal_resistance_ohm",
+                     "charge_efficiency"):
+            check_finite(f"battery {name}", getattr(self, name))
         if not 0.0 <= self.initial_soc <= 1.0:
             raise SpecError("battery initial_soc must lie in [0, 1]")
         if not 0.0 <= self.capacity_fade < 1.0:
@@ -381,7 +421,7 @@ class PolicySpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise SpecError("policy name cannot be empty")
-        params = _check_dict(self.params, "PolicySpec params")
+        params = check_mapping("PolicySpec params", self.params)
         budget = [0]
         checked = {}
         for key, value in params.items():
@@ -397,7 +437,7 @@ class PolicySpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PolicySpec":
-        data = _check_dict(data, "PolicySpec")
+        data = check_mapping("PolicySpec", data)
         unknown = set(data) - {"name", "params"}
         if unknown & _LEGACY_POLICY_KEYS:
             raise SpecError(
@@ -446,6 +486,7 @@ class SystemSpec:
     def __post_init__(self) -> None:
         if not self.harvester:
             raise SpecError("harvester name cannot be empty")
+        check_finite("system sleep_power_w", self.sleep_power_w)
         if self.sleep_power_w < 0:
             raise SpecError("sleep power cannot be negative")
 
@@ -460,7 +501,7 @@ class SystemSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SystemSpec":
-        data = _check_dict(data, "SystemSpec")
+        data = check_mapping("SystemSpec", data)
         unknown = set(data) - {"harvester", "battery", "policy", "app",
                                "sleep_power_w"}
         if unknown:
@@ -519,6 +560,9 @@ class ScenarioSpec:
                     f"got {type(fault).__name__}")
         if not self.name:
             raise SpecError("scenario name cannot be empty")
+        check_finite("scenario step_s", self.step_s)
+        if self.duration_s is not None:
+            check_finite("scenario duration_s", self.duration_s)
         if self.step_s <= 0:
             raise SpecError("scenario step size must be positive")
         if self.duration_s is not None and self.duration_s <= 0:
@@ -551,7 +595,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        data = _check_dict(data, "ScenarioSpec")
+        data = check_mapping("ScenarioSpec", data)
         unknown = set(data) - {"name", "timeline", "system", "step_s",
                                "duration_s", "description", "trace", "faults"}
         if unknown:

@@ -98,6 +98,15 @@ class TestComposition:
         with pytest.raises(SpecError, match="min_scale"):
             chaos_case(bad, 0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_axis_param_rejected_with_knob_name(self, value):
+        bad = ChaosSpec(name="b", axes=(
+            ChaosAxisSpec("polar_winter", {"min_scale": value}),))
+        with pytest.raises(SpecError,
+                           match="polar_winter axis param 'min_scale' "
+                                 "must be finite"):
+            chaos_case(bad, 0)
+
     def test_third_party_axis_registration(self):
         @register_axis("test_noop_axis")
         def _build(params):

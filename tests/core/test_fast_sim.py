@@ -9,7 +9,7 @@ trace).
 
 import pytest
 
-from repro.core import DaySimulation, TraceMode
+from repro.core import TraceMode
 from repro.errors import SimulationError
 from repro.harvest.environment import (
     DARKNESS,
@@ -20,7 +20,7 @@ from repro.harvest.environment import (
     TEG_ROOM_15C_WIND_42KMH,
     TEG_ROOM_22C_NO_WIND,
 )
-from tests.helpers import legacy_reference_run
+from tests.helpers import default_simulation, legacy_reference_run
 
 
 def irregular_timeline() -> EnvironmentTimeline:
@@ -40,32 +40,36 @@ class TestSegmentWalkEquivalence:
         """Steps that straddle segment boundaries (and segments shorter
         than one step) must select the same segments and produce a
         bitwise-identical result."""
-        fast = DaySimulation(irregular_timeline(), step_s=step_s).run()
+        fast = default_simulation(irregular_timeline(), step_s=step_s).run()
         reference = legacy_reference_run(
-            DaySimulation(irregular_timeline(), step_s=step_s))
+            default_simulation(irregular_timeline(), step_s=step_s))
         assert fast == reference
 
     def test_matches_legacy_loop_past_timeline_end(self):
         """A horizon beyond the timeline stays in the final segment,
         exactly as the legacy at() clamp did."""
         horizon = 3 * 86400.0
-        fast = DaySimulation(irregular_timeline(), step_s=450.0).run(horizon)
+        fast = default_simulation(irregular_timeline(), step_s=450.0,
+                                  duration_s=horizon).run()
         reference = legacy_reference_run(
-            DaySimulation(irregular_timeline(), step_s=450.0), horizon)
+            default_simulation(irregular_timeline(), step_s=450.0,
+                               duration_s=horizon))
         assert fast == reference
 
     def test_matches_legacy_loop_with_partial_final_step(self):
         horizon = 5000.0  # not a multiple of 300
-        fast = DaySimulation(irregular_timeline(), step_s=300.0).run(horizon)
+        fast = default_simulation(irregular_timeline(), step_s=300.0,
+                                  duration_s=horizon).run()
         reference = legacy_reference_run(
-            DaySimulation(irregular_timeline(), step_s=300.0), horizon)
+            default_simulation(irregular_timeline(), step_s=300.0,
+                               duration_s=horizon))
         assert fast == reference
 
 
 class TestTraceModes:
     def run_with_trace(self, trace, step_s=300.0):
-        return DaySimulation(irregular_timeline(), step_s=step_s,
-                             trace=trace).run()
+        return default_simulation(irregular_timeline(), step_s=step_s,
+                                  trace=trace).run()
 
     def test_totals_identical_across_modes(self):
         full = self.run_with_trace("full")

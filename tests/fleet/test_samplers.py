@@ -34,6 +34,16 @@ class TestRegistry:
         with pytest.raises(SpecError, match="must be a number"):
             build_sampler(SamplerSpec("daily_jitter", {"lux_sigma": "big"}))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_param_rejected_with_knob_name(self, value):
+        """A NaN sigma used to build and then fail the fleet run with
+        "segment lux must be finite", naming neither sampler nor knob."""
+        with pytest.raises(SpecError,
+                           match="daily_jitter sampler param 'lux_sigma' "
+                                 "must be finite"):
+            build_sampler(SamplerSpec("daily_jitter", {"lux_sigma": value}))
+
     @pytest.mark.parametrize("knob", ["lux_sigma", "duration_sigma",
                                       "ambient_sigma_c", "skin_sigma_c",
                                       "wind_sigma"])

@@ -3,7 +3,10 @@
 import os
 from pathlib import Path
 
-from repro.core.simulation import SimulationResult, SimulationStep
+from repro.core.simulation import (DaySimulation, SimulationResult,
+                                   SimulationStep)
+from repro.policies.base import PolicyContext
+from repro.scenarios import builder
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,7 +23,31 @@ SUBPROCESS_ENV = {
 }
 
 
-def legacy_reference_run(sim, duration_s: float | None = None) -> SimulationResult:
+def default_simulation(timeline, *, harvester=None, battery=None,
+                       policy=None, detection_energy_j=None,
+                       **engine) -> DaySimulation:
+    """A :class:`DaySimulation` over ``timeline`` from the default parts.
+
+    Any part not passed is built through :mod:`repro.scenarios.builder`
+    exactly as a default spec builds it: the cached calibrated dual
+    harvester, the stock battery, the default app's detection energy
+    and the paper-default ``energy_aware`` policy.  ``engine`` carries
+    the engine's scalar keywords (``step_s``, ``duration_s``, ...).
+    """
+    if detection_energy_j is None:
+        detection_energy_j = builder.build_app().energy_budget().total_j
+    if policy is None:
+        policy = builder.build_policy(
+            context=PolicyContext(detection_energy_j=detection_energy_j))
+    return DaySimulation(
+        timeline,
+        builder.build_harvester(cached=True) if harvester is None
+        else harvester,
+        builder.build_battery() if battery is None else battery,
+        policy, detection_energy_j, **engine)
+
+
+def legacy_reference_run(sim) -> SimulationResult:
     """The pre-PR-2 stepping loop, kept verbatim as ground truth.
 
     Rescans the timeline from ``t=0`` and re-evaluates the harvester
@@ -31,13 +58,12 @@ def legacy_reference_run(sim, duration_s: float | None = None) -> SimulationResu
     must be mirrored here, in one place, or the bitwise-identity
     assertions fail.
     """
-    if duration_s is None:
-        duration_s = sim.duration_s
     horizon = (sim.timeline.total_duration_s
-               if duration_s is None else duration_s)
+               if sim.duration_s is None else sim.duration_s)
     result = SimulationResult(initial_soc=sim.battery.state_of_charge,
                               duration_s=horizon)
-    detection_j = sim.manager.detection_energy_j
+    manager = sim.policy.manager  # the EnergyAwareManager it wraps
+    detection_j = manager.detection_energy_j
     t = 0.0
     carry_detections = 0.0
     while t < horizon - 1e-9:
@@ -54,9 +80,9 @@ def legacy_reference_run(sim, duration_s: float | None = None) -> SimulationResu
         stored_j = sim.battery.charge(harvest_w, dt)
         result.total_harvest_j += stored_j
 
-        rate = sim.manager.detection_rate_per_min(
+        rate = manager.detection_rate_per_min(
             harvest_w, sim.battery.state_of_charge)
-        step_cap = max(1.0, sim.manager.policy.max_rate_per_min * dt / 60.0)
+        step_cap = max(1.0, manager.policy.max_rate_per_min * dt / 60.0)
         carry_detections += rate * dt / 60.0
         detections_now = float(int(min(carry_detections, step_cap)))
         carry_detections -= detections_now

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import DaySimulation
 from repro.core.manager import EnergyAwareManager, ManagerPolicy
 from repro.errors import ConfigurationError, SpecError
 from repro.harvest.environment import (
@@ -26,7 +25,9 @@ from repro.policies import (
     PolicyContext,
     StaticDutyCyclePolicy,
 )
-from repro.scenarios import PolicySpec, build_harvester, build_policy
+from repro.scenarios import (PolicySpec, build_battery, build_harvester,
+                             build_policy)
+from tests.helpers import default_simulation
 
 DETECTION_J = 605.2e-6
 
@@ -93,11 +94,10 @@ class TestStaticDutyCycle:
             EnvironmentSample(86400.0, INDOOR_OFFICE_700LX,
                               TEG_ROOM_22C_NO_WIND),
         ])
-        sim = DaySimulation(timeline, policy=StaticDutyCyclePolicy(4.0),
-                            step_s=600.0)
+        sim = default_simulation(timeline, policy=StaticDutyCyclePolicy(4.0),
+                                 step_s=600.0)
         result = sim.run()
         assert all(step.detection_rate_per_min == 4.0 for step in result.steps)
-        assert sim.manager is None  # no classic manager behind it
 
 
 class TestEwmaForecast:
@@ -142,11 +142,11 @@ class TestEwmaForecast:
     def test_engine_resets_between_runs(self):
         """Re-running one simulation object must be deterministic."""
         timeline = sun_after_darkness()
-        sim = DaySimulation(timeline,
-                            policy=EwmaForecastPolicy(DETECTION_J, alpha=0.2),
-                            step_s=600.0)
+        sim = default_simulation(
+            timeline, policy=EwmaForecastPolicy(DETECTION_J, alpha=0.2),
+            step_s=600.0)
         first = sim.run()
-        sim.battery = DaySimulation(timeline, step_s=600.0).battery
+        sim.battery = build_battery()
         second = sim.run()
         assert [s.detection_rate_per_min for s in first.steps] == \
             [s.detection_rate_per_min for s in second.steps]
@@ -299,71 +299,17 @@ class TestRegisteredFactories:
 class TestEngineIntegration:
     def test_protocol_policy_equals_default_build_bitwise(self):
         """A hand-wrapped EnergyAwarePolicy must be indistinguishable
-        from the engine's own default construction."""
+        from the registry's default ``energy_aware`` build."""
         timeline = sun_after_darkness()
-        default = DaySimulation(timeline, step_s=300.0).run()
-        wrapped = DaySimulation(
+        context = PolicyContext(detection_energy_j=DETECTION_J)
+        default = default_simulation(
+            timeline, policy=build_policy(PolicySpec(), context),
+            detection_energy_j=DETECTION_J, step_s=300.0).run()
+        wrapped = default_simulation(
             timeline,
-            policy=EnergyAwarePolicy(
-                EnergyAwareManager(
-                    DaySimulation(timeline, step_s=300.0)
-                    .detection_energy_j)),
-            step_s=300.0).run()
+            policy=EnergyAwarePolicy(EnergyAwareManager(DETECTION_J)),
+            detection_energy_j=DETECTION_J, step_s=300.0).run()
         assert wrapped == default
-
-    def test_adapter_injection_prices_like_manager_injection(self):
-        """policy=EnergyAwarePolicy(m) prices detections with the
-        wrapped manager's energy, exactly as passing that energy
-        explicitly does — not with the default app's."""
-        timeline = sun_after_darkness()
-        manager = EnergyAwareManager(2 * DETECTION_J)  # non-default energy
-        explicit = DaySimulation(timeline,
-                                 policy=EnergyAwarePolicy(manager),
-                                 detection_energy_j=2 * DETECTION_J,
-                                 step_s=300.0)
-        via_policy = DaySimulation(timeline,
-                                   policy=EnergyAwarePolicy(manager),
-                                   step_s=300.0)
-        assert via_policy.detection_energy_j == 2 * DETECTION_J
-        assert via_policy.manager is manager
-        assert via_policy.app is None  # no default app built either way
-        assert via_policy.run() == explicit.run()
-
-    def test_only_energy_aware_exposes_a_manager(self):
-        """The banded policies share the manager's band internally, but
-        only energy_aware wraps one as DaySimulation.manager."""
-        timeline = sun_after_darkness()
-        banded = (EwmaForecastPolicy(DETECTION_J),
-                  OracleLookaheadPolicy(DETECTION_J, timeline,
-                                        build_harvester()))
-        for policy in banded:
-            sim = DaySimulation(timeline, policy=policy, step_s=600.0)
-            assert sim.manager is None, type(policy).__name__
-        manager = EnergyAwareManager(DETECTION_J)
-        sim = DaySimulation(timeline, policy=EnergyAwarePolicy(manager),
-                            step_s=600.0)
-        assert sim.manager is manager
-
-    def test_unrelated_manager_attribute_is_not_duck_typed(self):
-        """A third-party policy whose `manager` attribute is not an
-        EnergyAwareManager must not be probed for detection energy."""
-        class Scheduler:
-            pass
-
-        class WithScheduler:
-            max_rate_per_min = 6.0
-            manager = Scheduler()
-
-            def decide(self, time_s, step_s, harvest_power_w,
-                       state_of_charge):
-                return 6.0
-
-        sim = DaySimulation(sun_after_darkness(), policy=WithScheduler(),
-                            step_s=600.0)
-        assert sim.manager is None
-        assert sim.detection_energy_j == pytest.approx(
-            sim.app.energy_budget().total_j)
-        sim.run()  # prices detections with the default app's energy
 
     @pytest.mark.parametrize("returned", [
         math.nan, -1.0, OldStyleDecision(6.0, "static"), None,
@@ -382,8 +328,8 @@ class TestEngineIntegration:
 
         from repro.errors import SimulationError
 
-        sim = DaySimulation(sun_after_darkness(), policy=Broken(),
-                            step_s=600.0)
+        sim = default_simulation(sun_after_darkness(), policy=Broken(),
+                                 step_s=600.0)
         with pytest.raises(SimulationError,
                            match=r"policy Broken returned an invalid "
                                  r"detection rate .* at t=0s"):
@@ -397,8 +343,8 @@ class TestEngineIntegration:
                        state_of_charge):
                 return 1000.0
 
-        sim = DaySimulation(sun_after_darkness(), policy=Overdriven(),
-                            step_s=600.0)
+        sim = default_simulation(sun_after_darkness(), policy=Overdriven(),
+                                 step_s=600.0)
         result = sim.run()
         assert all(step.detection_rate_per_min == 6.0
                    for step in result.steps)

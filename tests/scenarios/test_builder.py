@@ -1,11 +1,10 @@
-"""Builder: spec -> live system, with defaults matching DaySimulation()."""
+"""Builder: spec -> live system, component by component."""
 
 import json
 
 import pytest
 
-from repro.core import DaySimulation, ManagerPolicy, StressDetectionApp
-from repro.core.manager import EnergyAwareManager
+from repro.core import ManagerPolicy, StressDetectionApp
 from repro.errors import RegistryError
 from repro.harvest.dual import DualSourceHarvester
 from repro.power.battery import LiPoBattery
@@ -25,6 +24,7 @@ from repro.scenarios import (
     build_timeline,
     get_scenario,
 )
+from tests.helpers import default_simulation
 
 
 class TestComponentBuilders:
@@ -92,16 +92,6 @@ class TestComponentBuilders:
 
 
 class TestBuildSimulation:
-    def test_build_simulation_defaults_match_direct_construction(self):
-        """The acceptance criterion: a default spec-built system produces
-        a bit-identical SimulationResult to DaySimulation()'s defaults."""
-        from repro.scenarios.library import paper_indoor_day
-
-        spec = get_scenario("paper_indoor_worst_case")
-        from_spec = build_simulation(spec).run(spec.duration_s)
-        direct = DaySimulation(paper_indoor_day(), step_s=300.0).run()
-        assert from_spec == direct
-
     def test_json_round_trip_produces_bit_identical_result(self):
         spec = get_scenario("sunny_office_worker")
         rebuilt = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
@@ -133,28 +123,16 @@ class TestBuildSimulation:
         )
         sim = build_simulation(spec)
         assert sim.battery.state_of_charge == pytest.approx(0.25)
-        assert sim.manager.policy.max_rate_per_min == 10.0
+        assert sim.policy.max_rate_per_min == 10.0
         assert sim.step_s == 450.0
         assert sim.sleep_power_w == 1e-5
-
-    def test_injected_manager_used_without_building_an_app(self):
-        from repro.scenarios.library import paper_indoor_day
-
-        from repro.policies import EnergyAwarePolicy
-
-        manager = EnergyAwareManager(1e-3, ManagerPolicy(max_rate_per_min=2.0))
-        sim = DaySimulation(paper_indoor_day(),
-                            policy=EnergyAwarePolicy(manager))
-        assert sim.manager is manager
-        assert sim.detection_energy_j == 1e-3
-        assert sim.app is None  # no default app built for it
 
     def test_bare_manager_policy_rejected(self):
         from repro.errors import SimulationError
         from repro.scenarios.library import paper_indoor_day
 
         with pytest.raises(SimulationError, match=r"EnergyAwarePolicy\("):
-            DaySimulation(paper_indoor_day(), policy=ManagerPolicy())
+            default_simulation(paper_indoor_day(), policy=ManagerPolicy())
 
     def test_solar_only_harvester_ignores_teg(self):
         from repro.harvest.environment import DARKNESS, TEG_ROOM_15C_WIND_42KMH

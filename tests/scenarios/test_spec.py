@@ -19,6 +19,8 @@ from repro.scenarios import (
 FINITE_SEGMENT = {"duration_s": 60.0, "lux": 500.0, "ambient_c": 22.0,
                   "skin_c": 32.0, "wind_ms": 1.0}
 FINITE_THERMAL = {"ambient_c": 22.0, "skin_c": 32.0, "wind_ms": 1.0}
+NAMED_SCENARIO = {"name": "x",
+                  "timeline": TimelineSpec(name="paper_indoor_day")}
 
 
 def inline_scenario() -> ScenarioSpec:
@@ -101,12 +103,19 @@ class TestValidation:
         (LightingCondition, {"lux": 500.0}, "lux", HarvestModelError),
         *((ThermalCondition, FINITE_THERMAL, field, HarvestModelError)
           for field in FINITE_THERMAL),
+        *((ScenarioSpec, NAMED_SCENARIO, field, SpecError)
+          for field in ("step_s", "duration_s")),
+        (SystemSpec, {}, "sleep_power_w", SpecError),
+        *((BatterySpec, {}, field, SpecError)
+          for field in ("capacity_mah", "internal_resistance_ohm",
+                        "charge_efficiency")),
     ])
     def test_non_finite_physical_input_rejected(self, make, kwargs, field,
                                                 error, value):
         """NaN or infinite light, temperature, wind or duration would
-        otherwise run as darkness or a zero-length day; the error
-        names the field."""
+        otherwise run as darkness or a zero-length day, an infinite
+        horizon would never end and a NaN capacity would fail mid-run;
+        the error names the field."""
         make(**kwargs)  # the finite baseline builds
         with pytest.raises(error, match=field):
             make(**{**kwargs, field: value})

@@ -113,6 +113,23 @@ class TestScenarioCommands:
         assert "error:" in err
         assert "lux" in err
 
+    @pytest.mark.parametrize("field", ["duration_s", "step_s"])
+    def test_simulate_rejects_infinite_horizon_file(self, tmp_path, capsys,
+                                                    field):
+        """An ``Infinity`` horizon used to hang the run, and an
+        ``Infinity`` step to run one day-long step; both are refused
+        before anything runs, naming the field."""
+        from repro.scenarios import get_scenario
+
+        payload = get_scenario("paper_indoor_worst_case").to_dict()
+        payload[field] = float("inf")
+        path = tmp_path / "infinite.json"
+        path.write_text(json.dumps(payload))
+        assert "Infinity" in path.read_text()
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be finite" in err
+
     def test_sweep_bad_worker_count_errors(self, capsys):
         assert main(["sweep", "--all", "--workers", "0"]) == 2
         assert "worker count" in capsys.readouterr().err
